@@ -407,65 +407,44 @@ func BenchmarkE20_EnumerateN10Legacy(b *testing.B) {
 	}
 }
 
-// BenchmarkE13_AdversarySearch is the heuristic search stage of the
-// exact-defeasibility experiment (E13): the damage-seeking schedulers
-// — serialize the movers, desynchronize them, spread greedily — probe
-// all 3652 connected 7-robot patterns and certify a witness schedule
-// for every pattern they defeat (each witness re-simulated through
-// sched.Run inside the pass). The pre-filters alone defeat 2252
-// patterns; the remaining 1400 go to the exact solver in the full E13
-// run (cmd/adversary), which settles them as 976 more defeats and 424
-// safe. The defeated/undecided split is pinned, so the bench doubles
-// as a correctness check on the heuristic battery.
+// BenchmarkE13_AdversarySearch is the exact-defeasibility experiment
+// (E13): the memoized safety-game solver decides all 3652 connected
+// 7-robot patterns in source order, and every defeat's witness is
+// re-simulated through sched.Run inside the pass. The partition is
+// pinned — 3228 defeatable, 424 safe — so the bench doubles as a
+// correctness check on the solver.
 func BenchmarkE13_AdversarySearch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := sweep.Run(context.Background(), sweep.Spec{
-			Adversary: &adversary.Options{HeuristicsOnly: true},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Patterns != enumerate.KnownCounts[7] {
-			b.Fatalf("probed %d patterns, want %d", rep.Patterns, enumerate.KnownCounts[7])
-		}
-		if rep.Defeatable != 2252 || rep.Undecided != 1400 {
-			b.Fatalf("heuristics defeated %d / left %d undecided, want 2252 / 1400",
-				rep.Defeatable, rep.Undecided)
-		}
-		b.ReportMetric(float64(rep.Defeatable), "defeated")
-		b.ReportMetric(float64(rep.Undecided), "undecided")
-		b.ReportMetric(float64(rep.MaxWitnessDepth), "max-depth")
-	}
+	benchAdversary(b, 7, 3228, 424)
 }
 
-// BenchmarkE14_N8Adversary is the heuristic search stage of the n = 8
-// defeasibility map (E14): the damage-seeking schedulers probe all
-// 16689 connected 8-robot patterns through the shared transition
-// kernel and certify a witness for every pattern they defeat. The
-// pre-filters alone settle 13634 patterns; the remaining 3055 go to
-// the exact solver in the full E14 run (`adversary -n 8 -workers N`,
-// or the ADV_HEAVY=1 test), which splits them into 2778 more defeats
-// and 277 safe patterns. The defeated/undecided counts are pinned, so
-// the bench doubles as a correctness check on the kernel-backed
-// heuristic battery at n = 8.
+// BenchmarkE14_N8Adversary is the n = 8 defeasibility map (E14): the
+// same exact decision over all 16689 connected 8-robot patterns, pinned
+// at 16412 defeatable / 277 safe. The ADV_HEAVY=1 test adds the
+// witness-kind split and the safe-set diameters.
 func BenchmarkE14_N8Adversary(b *testing.B) {
+	benchAdversary(b, 8, 16412, 277)
+}
+
+// benchAdversary runs one sequential adversary-mode sweep of the
+// connected n-robot space per iteration and pins its partition.
+func benchAdversary(b *testing.B, n, defeatable, safe int) {
 	for i := 0; i < b.N; i++ {
 		rep, err := sweep.Run(context.Background(), sweep.Spec{
-			N:         8,
-			Adversary: &adversary.Options{HeuristicsOnly: true},
+			N:         n,
+			Adversary: &adversary.Options{},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Patterns != enumerate.KnownCounts[8] {
-			b.Fatalf("probed %d patterns, want %d", rep.Patterns, enumerate.KnownCounts[8])
+		if rep.Patterns != enumerate.KnownCounts[n] {
+			b.Fatalf("decided %d patterns, want %d", rep.Patterns, enumerate.KnownCounts[n])
 		}
-		if rep.Defeatable != 13634 || rep.Undecided != 3055 {
-			b.Fatalf("heuristics defeated %d / left %d undecided, want 13634 / 3055",
-				rep.Defeatable, rep.Undecided)
+		if rep.Defeatable != defeatable || rep.SafePatterns != safe {
+			b.Fatalf("n=%d: %d defeatable / %d safe, want %d / %d",
+				n, rep.Defeatable, rep.SafePatterns, defeatable, safe)
 		}
 		b.ReportMetric(float64(rep.Defeatable), "defeated")
-		b.ReportMetric(float64(rep.Undecided), "undecided")
+		b.ReportMetric(float64(rep.SafePatterns), "safe")
 		b.ReportMetric(float64(rep.MaxWitnessDepth), "max-depth")
 	}
 }

@@ -1,7 +1,6 @@
 // Command adversary computes the exact SSYNC defeatable set
 // (experiment E13): for every initial pattern of a sweep space it
-// decides — heuristic damage-seeking schedulers first, the memoized
-// safety-game solver for whatever they cannot defeat — whether some
+// decides with the exact memoized safety-game solver whether some
 // activation schedule prevents gathering, and streams one JSONL
 // verdict per pattern to stdout. Every defeatable verdict carries a
 // replayable witness schedule (activation subsets, round by round,
@@ -28,13 +27,6 @@
 //	                  depend on which worker reached a shared game
 //	                  state first. The n = 8 map (E14) is the workload
 //	                  this exists for.
-//	-heuristics-only  skip the exact solver: report only what the
-//	                  cheap schedulers defeat (verdict "undecided"
-//	                  for the rest; the E13/E14 benches measure this
-//	                  pass)
-//	-no-heuristics    exact solver only (every witness then carries
-//	                  method "solver")
-//	-heuristic-rounds R   round budget per heuristic probe
 //	-no-witness       omit the witness schedules from the JSONL
 //	                  (verdict lines only)
 //	-safe-summary     print the diameter × robot-count histogram of
@@ -70,8 +62,8 @@ import (
 type verdictLine struct {
 	Pattern int     `json:"pattern"`
 	Initial string  `json:"initial"`
-	Verdict string  `json:"verdict"`          // defeatable | safe | undecided
-	Method  string  `json:"method"`           // solver | heuristic:<name> | heuristics
+	Verdict string  `json:"verdict"`          // defeatable | safe
+	Method  string  `json:"method"`           // solver
 	Kind    string  `json:"kind,omitempty"`   // cycle | collision | disconnection | stall
 	Replay  string  `json:"replay,omitempty"` // confirmed replay status of the witness
 	Depth   int     `json:"depth,omitempty"`  // strategy length: prefix + one cycle lap
@@ -86,9 +78,6 @@ func main() {
 	shared := cliflags.Register(flag.CommandLine, cliflags.FlagAlg|cliflags.FlagN)
 	n := shared.N
 	workers := flag.Int("workers", 1, "parallel decision workers over the shared solver memo (0 = GOMAXPROCS, 1 = sequential)")
-	heuristicsOnly := flag.Bool("heuristics-only", false, "skip the exact solver (cheap pre-filter pass only)")
-	noHeuristics := flag.Bool("no-heuristics", false, "skip the heuristic pre-filters (exact solver only)")
-	heuristicRounds := flag.Int("heuristic-rounds", 0, "round budget per heuristic probe (0 = default)")
 	noWitness := flag.Bool("no-witness", false, "omit witness schedules from the JSONL output")
 	safeSummary := flag.Bool("safe-summary", false, "print the diameter histogram of the safe patterns on stderr")
 	progress := flag.Bool("progress", false, "report progress on stderr")
@@ -106,21 +95,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adversary: %v\n", err)
 		os.Exit(2)
 	}
-	if *heuristicsOnly && *noHeuristics {
-		fmt.Fprintln(os.Stderr, "adversary: -heuristics-only and -no-heuristics are mutually exclusive")
-		os.Exit(2)
-	}
 
 	spec := sweep.Spec{
-		N:       *n,
-		Alg:     alg,
-		Workers: *workers,
-		Adversary: &adversary.Options{
-			Alg:             alg,
-			HeuristicsOnly:  *heuristicsOnly,
-			NoHeuristics:    *noHeuristics,
-			HeuristicRounds: *heuristicRounds,
-		},
+		N:         *n,
+		Alg:       alg,
+		Workers:   *workers,
+		Adversary: &adversary.Options{Alg: alg},
 	}
 	if *progress {
 		spec.Progress = func(done, total int) {
@@ -168,24 +148,12 @@ func main() {
 	if *progress {
 		fmt.Fprintln(os.Stderr)
 	}
-	fmt.Fprintf(os.Stderr, "adversary: n=%d, %s: %d/%d defeatable, %d safe",
-		report.Robots, report.Algorithm, report.Defeatable, report.Patterns, report.SafePatterns)
-	if report.Undecided > 0 {
-		fmt.Fprintf(os.Stderr, ", %d undecided (heuristics only)", report.Undecided)
-	}
-	fmt.Fprintf(os.Stderr, "; game states %d, max strategy depth %d; every witness replay confirmed non-gathering\n",
+	fmt.Fprintf(os.Stderr, "adversary: n=%d, %s: %d/%d defeatable, %d safe; game states %d, max strategy depth %d; every witness replay confirmed non-gathering\n",
+		report.Robots, report.Algorithm, report.Defeatable, report.Patterns, report.SafePatterns,
 		report.SolverStates, report.MaxWitnessDepth)
 	if report.Memo.Lookups() > 0 {
 		fmt.Fprintf(os.Stderr, "adversary: memo: %d hits / %d misses, %d states created (shared across patterns)\n",
 			report.Memo.Hits, report.Memo.Misses, report.Memo.Created)
-	}
-	methods := make([]string, 0, len(report.ByMethod))
-	for m := range report.ByMethod {
-		methods = append(methods, m)
-	}
-	sort.Strings(methods)
-	for _, m := range methods {
-		fmt.Fprintf(os.Stderr, "adversary:   %-28s %d\n", m, report.ByMethod[m])
 	}
 	if *safeSummary {
 		// The safe-set characterization (ROADMAP item b): where, by

@@ -17,8 +17,7 @@
 //	-sched S      fsync (default), ssync (seeded random subsets),
 //	              cent (round-robin centralized adversary), or adv
 //	              (exact adversarial decision per pattern — the
-//	              internal/adversary safety-game solver with heuristic
-//	              pre-filters; E13: -sched adv)
+//	              internal/adversary safety-game solver; E13: -sched adv)
 //	-seeds M      run each pattern under M activation schedules
 //	              (seeds 1..M); the report aggregates per-pattern
 //	              robustness (E12: -sched ssync -seeds 32)
@@ -118,8 +117,8 @@ Schedulers (-sched):
           under M schedules (E12)
   cent    centralized round-robin adversary, one robot per round
   adv     exact adversarial decision per pattern: the safety-game
-          solver of internal/adversary, heuristic pre-filters first
-          (E13); defeated patterns report their witness kind
+          solver of internal/adversary (E13); defeated patterns report
+          their witness kind; -seeds and -max-rounds do not apply
 
 Memoization (-memo, default on): one shared configuration→outcome
 store turns the sweep into a deduplicated traversal of the
@@ -231,15 +230,19 @@ Flags:
 	case "adv":
 		// Exact per-pattern adversarial decision (E13/E14). The seeds
 		// axis is meaningless (the adversary is universally
-		// quantified), and the solver's game treats disconnection as
-		// terminal (so the relaxed range-1-disconnected spaces are out
-		// of its domain). -workers > 1 decides patterns in parallel
-		// over the shared concurrent solver memo; the default stays
-		// sequential, which keeps per-pattern state counts
-		// deterministic. -max-rounds maps onto the heuristic probe
-		// budget.
+		// quantified), and so is the round budget: the solver decides
+		// the whole game graph, whose plays have no length limit. The
+		// game treats disconnection as terminal (so the relaxed
+		// range-1-disconnected spaces are out of its domain).
+		// -workers > 1 decides patterns in parallel over the shared
+		// concurrent solver memo; the default stays sequential, which
+		// keeps per-pattern state counts deterministic.
 		if *seeds > 1 {
 			fmt.Fprintln(os.Stderr, "verify: -sched adv decides all schedules at once; -seeds does not apply")
+			os.Exit(2)
+		}
+		if *maxRounds > 0 {
+			fmt.Fprintln(os.Stderr, "verify: -sched adv decides plays of any length; -max-rounds does not apply")
 			os.Exit(2)
 		}
 		if *visRange > 1 {
@@ -253,7 +256,6 @@ Flags:
 			fmt.Fprintln(os.Stderr, "verify: -stats does not apply to -sched adv (safe patterns have no run)")
 			os.Exit(2)
 		}
-		// Spec.MaxRounds (from -max-rounds) feeds the probe budget.
 		spec.Adversary = &adversary.Options{Alg: alg}
 	default:
 		fmt.Fprintf(os.Stderr, "verify: unknown scheduler %q\n", *schedName)

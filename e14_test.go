@@ -10,9 +10,9 @@ package repro
 // defeatable — full activation is an adversary strategy — and the safe
 // set is a 277-pattern subset of the 15364 FSYNC-gathered patterns).
 //
-// The full solve takes tens of seconds, so it is guarded behind
-// ADV_HEAVY=1 (like the large enumerations behind ENUM_HEAVY) and
-// skipped in routine CI:
+// The FSYNC cross-map and the full solve take several seconds, so the
+// test is guarded behind ADV_HEAVY=1 (like the large enumerations
+// behind ENUM_HEAVY) and skipped in routine CI:
 //
 //	ADV_HEAVY=1 go test -run TestE14 .
 
@@ -58,8 +58,6 @@ func TestE14_N8AdversaryMap(t *testing.T) {
 				t.Errorf("safe pattern %s fails under FSYNC (%v) — impossible: FSYNC is an adversary strategy",
 					c.Initial.Key(), s)
 			}
-		case adversary.Undecided:
-			t.Errorf("pattern %s undecided in an exact run", c.Initial.Key())
 		}
 		return nil
 	})
@@ -67,27 +65,30 @@ func TestE14_N8AdversaryMap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if rep.Defeatable != 16412 || rep.SafePatterns != 277 || rep.Undecided != 0 {
-		t.Errorf("verdict partition %d/%d/%d, want 16412/277/0",
-			rep.Defeatable, rep.SafePatterns, rep.Undecided)
+	if rep.Defeatable != 16412 || rep.SafePatterns != 277 || rep.ByMethod["solver"] != 16689 {
+		t.Errorf("verdict partition %d/%d (%v), want 16412/277, all by the solver",
+			rep.Defeatable, rep.SafePatterns, rep.ByMethod)
 	}
-	// The witness-kind split, via the status mapping: forced livelocks
-	// dominate, but — unlike n = 7, where every defeat was a cycle —
-	// the adversary also forces collisions, disconnections and stalls.
+	// The witness-kind split of the solver's witnesses, via the status
+	// mapping: forced livelocks dominate, but — unlike n = 7, where
+	// every defeat was a cycle — the adversary also forces collisions,
+	// stalls and disconnections. The split is a property of the
+	// witnesses (the solver stores the first defeating activation in a
+	// fixed order), not of the partition.
 	wantStatus := map[sim.Status]int{
 		sim.Gathered:     277,
-		sim.Livelock:     15288,
-		sim.Stalled:      486,
-		sim.Collision:    568,
-		sim.Disconnected: 70,
+		sim.Livelock:     14459,
+		sim.Stalled:      201,
+		sim.Collision:    1654,
+		sim.Disconnected: 98,
 	}
 	for s, want := range wantStatus {
 		if got := rep.ByStatus[s]; got != want {
 			t.Errorf("status %v: %d patterns, want %d", s, got, want)
 		}
 	}
-	if rep.MaxWitnessDepth != 69 {
-		t.Errorf("max strategy depth %d, want 69", rep.MaxWitnessDepth)
+	if rep.MaxWitnessDepth != 22 {
+		t.Errorf("max strategy depth %d, want 22", rep.MaxWitnessDepth)
 	}
 	// The safe set concentrates at small diameter, one straggler at 6
 	// (n = 7's safe set had none past diameter 5).

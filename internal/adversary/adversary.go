@@ -55,16 +55,16 @@
 //
 // The game dynamics themselves — look→compute→move, the collision
 // rules, the disconnection check — are the shared transition kernel
-// (internal/step): the solver, the heuristic schedulers, and the
-// sched/sim replay machinery all execute the identical step, so the
-// game and the simulator cannot drift apart.
+// (internal/step): the solver and the sched/sim replay machinery
+// execute the identical step, so the game and the simulator cannot
+// drift apart.
 //
 // # Concurrency
 //
 // The memo is sharded by key and lock-striped, and verdicts are
 // published only once final, so a Solver is safe for concurrent use:
-// any number of goroutines may call Defeatable (or Adversary.Decide on
-// per-worker Forks sharing the solver) against one shared game graph.
+// any number of goroutines may call Defeatable (or Adversary.Decide)
+// against one shared game graph.
 // Each search keeps its DFS path private — a back edge is a cycle only
 // on the searcher's own stack — and duplicated in-flight work between
 // workers resolves to identical published verdicts: the game's value

@@ -54,9 +54,8 @@ func TestLineDefeatable(t *testing.T) {
 }
 
 // TestExactDefeatableSets pins the exact defeatable counts (the E13
-// result at n = 7, plus the smaller spaces): every verdict is decided
-// by the solver alone, and every defeat's witness is re-simulated and
-// confirmed inside Decide.
+// result at n = 7, plus the smaller spaces): every defeat's witness is
+// re-simulated and confirmed inside Decide.
 func TestExactDefeatableSets(t *testing.T) {
 	want := map[int]struct{ defeatable, safe int }{
 		5: {186, 0},
@@ -64,7 +63,7 @@ func TestExactDefeatableSets(t *testing.T) {
 		7: {3228, 424},
 	}
 	for n, w := range want {
-		adv := New(Options{NoHeuristics: true})
+		adv := New(Options{})
 		defeatable, safeN := 0, 0
 		for _, c := range enumerate.Connected(n) {
 			v, err := adv.Decide(c)
@@ -83,28 +82,6 @@ func TestExactDefeatableSets(t *testing.T) {
 		if defeatable != w.defeatable || safeN != w.safe {
 			t.Errorf("n=%d: %d defeatable / %d safe, want %d / %d",
 				n, defeatable, safeN, w.defeatable, w.safe)
-		}
-	}
-}
-
-// TestHeuristicsAgreeWithSolver: the heuristic pre-filters may only
-// ever defeat patterns the exact solver also defeats — running the
-// full pipeline must produce the identical verdict partition, just
-// attributed across methods.
-func TestHeuristicsAgreeWithSolver(t *testing.T) {
-	exact := New(Options{NoHeuristics: true})
-	full := New(Options{})
-	for _, c := range enumerate.Connected(6) {
-		ve, err := exact.Decide(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vf, err := full.Decide(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ve.Kind != vf.Kind {
-			t.Fatalf("%s: solver says %v, pipeline says %v (method %s)", c.Key(), ve.Kind, vf.Kind, vf.Method)
 		}
 	}
 }
@@ -128,7 +105,7 @@ func TestCENTDefeatedAreSolverDefeatable(t *testing.T) {
 	if len(centDefeated) != 166 {
 		t.Fatalf("CENT defeats %d patterns, want the E12 lower bound 166", len(centDefeated))
 	}
-	adv := New(Options{NoHeuristics: true})
+	adv := New(Options{})
 	for _, c := range centDefeated {
 		v, err := adv.Decide(c)
 		if err != nil {
@@ -149,7 +126,7 @@ func TestCENTDefeatedAreSolverDefeatable(t *testing.T) {
 // or a stall certified by recomputing that no robot wants to move)
 // must be a pattern the solver calls defeatable.
 func TestRolloutDefeatsAreSolverDefeatable(t *testing.T) {
-	adv := New(Options{NoHeuristics: true})
+	adv := New(Options{})
 	probe := NewSolver(core.Gatherer{}, nil, 0) // movers recomputation for stall certification
 	certified := 0
 	for _, c := range enumerate.Connected(5) {
@@ -192,7 +169,7 @@ func TestRolloutDefeatsAreSolverDefeatable(t *testing.T) {
 // (the reachable game graph is a DAG into the goal), so seeded
 // random-subset rollouts must gather.
 func TestSafePatternsGatherUnderRollouts(t *testing.T) {
-	adv := New(Options{NoHeuristics: true})
+	adv := New(Options{})
 	checked := 0
 	for i, c := range enumerate.Connected(7) {
 		if i%25 != 0 { // sample: the full safe set re-checks nothing new
@@ -234,47 +211,6 @@ func TestDecideRejectsOutOfDomain(t *testing.T) {
 	}
 }
 
-// TestHeuristicsOnlyUndecided: without the exact solver, patterns the
-// heuristics cannot defeat come back undecided, never safe.
-func TestHeuristicsOnlyUndecided(t *testing.T) {
-	adv := New(Options{HeuristicsOnly: true})
-	v, err := adv.Decide(config.Hexagon(grid.Origin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Kind != Undecided || v.Method != "heuristics" {
-		t.Fatalf("heuristics-only hexagon: %v/%s, want undecided/heuristics", v.Kind, v.Method)
-	}
-}
-
-// TestHeuristicSchedulersContract: each heuristic returns a non-empty
-// in-range activation from SelectConfig, terminates under sched.Run,
-// and the blind Select fallback degrades to full activation.
-func TestHeuristicSchedulersContract(t *testing.T) {
-	c := config.Line(grid.Origin, grid.NE, 7)
-	robots := c.Nodes()
-	for _, h := range Heuristics(core.Gatherer{}) {
-		sel := h.SelectConfig(robots, 0)
-		if len(sel) == 0 {
-			t.Fatalf("%s: empty activation", h.Name())
-		}
-		for _, i := range sel {
-			if i < 0 || i >= len(robots) {
-				t.Fatalf("%s: activation index %d out of range", h.Name(), i)
-			}
-		}
-		if full := h.Select(len(robots), 0); len(full) != len(robots) {
-			t.Fatalf("%s: blind fallback activated %d of %d", h.Name(), len(full), len(robots))
-		}
-		res := sched.Run(core.Gatherer{}, c, h, sim.Options{
-			MaxRounds: 500, DetectCycles: true, StopOnDisconnect: true,
-		})
-		if res.Status == sim.Collision {
-			t.Logf("%s forces a collision on the NE line", h.Name())
-		}
-	}
-}
-
 // TestWitnessSchedulerTail: after the prefix, a cycle witness loops
 // its cycle and an acyclic witness falls back to full activation.
 func TestWitnessSchedulerTail(t *testing.T) {
@@ -306,7 +242,7 @@ func TestWitnessSchedulerTail(t *testing.T) {
 // new states the second time, and a second pattern reuses the shared
 // game graph.
 func TestSolverMemoSharing(t *testing.T) {
-	adv := New(Options{NoHeuristics: true})
+	adv := New(Options{})
 	line := config.Line(grid.Origin, grid.E, 7)
 	v1, err := adv.Decide(line)
 	if err != nil {
@@ -328,7 +264,7 @@ func TestSolverMemoSharing(t *testing.T) {
 // — a pattern the parent already decided costs the fork zero new
 // states — and produces the identical verdict and witness.
 func TestForkSharesSolver(t *testing.T) {
-	parent := New(Options{NoHeuristics: true})
+	parent := New(Options{})
 	line := config.Line(grid.Origin, grid.E, 7)
 	v1, err := parent.Decide(line)
 	if err != nil {
@@ -359,7 +295,7 @@ func TestConcurrentSolverRace(t *testing.T) {
 	for _, n := range []int{5, 6} {
 		patterns := enumerate.Connected(n)
 		// Sequential reference.
-		ref := New(Options{NoHeuristics: true})
+		ref := New(Options{})
 		want := make([]VerdictKind, len(patterns))
 		for i, c := range patterns {
 			v, err := ref.Decide(c)
@@ -368,7 +304,7 @@ func TestConcurrentSolverRace(t *testing.T) {
 			}
 			want[i] = v.Kind
 		}
-		shared := New(Options{NoHeuristics: true})
+		shared := New(Options{})
 		const workers = 8
 		var wg sync.WaitGroup
 		errs := make(chan error, workers)
@@ -376,9 +312,8 @@ func TestConcurrentSolverRace(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				fork := shared.Fork()
 				for i := w; i < len(patterns); i += workers {
-					v, err := fork.Decide(patterns[i])
+					v, err := shared.Decide(patterns[i])
 					if err != nil {
 						errs <- err
 						return
@@ -408,8 +343,8 @@ func TestConcurrentSolverRace(t *testing.T) {
 // stored winning choices are interleaving-independent.
 func TestConcurrentWitnessesDeterministic(t *testing.T) {
 	patterns := enumerate.Connected(5)
-	ref := New(Options{NoHeuristics: true})
-	shared := New(Options{NoHeuristics: true})
+	ref := New(Options{})
+	shared := New(Options{})
 	const workers = 4
 	var wg sync.WaitGroup
 	got := make([]*Witness, len(patterns))
@@ -417,9 +352,8 @@ func TestConcurrentWitnessesDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fork := shared.Fork()
 			for i := w; i < len(patterns); i += workers {
-				if v, err := fork.Decide(patterns[i]); err == nil {
+				if v, err := shared.Decide(patterns[i]); err == nil {
 					got[i] = v.Witness
 				}
 			}

@@ -5,33 +5,22 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/memo"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// Options configure an Adversary decision pipeline.
+// Options configure an Adversary.
 type Options struct {
 	// Alg is the algorithm under attack. Default core.Gatherer{}.
 	Alg core.Algorithm
 	// Goal overrides the gathering predicate. Nil selects
 	// config.GoalFor over each pattern's robot count.
 	Goal func(config.Config) bool
-	// HeuristicsOnly skips the exact solver: patterns the heuristic
-	// schedulers cannot defeat come back Undecided instead of Safe.
-	// This is the cheap pre-filter pass benchmarked as E13's search
-	// stage.
-	HeuristicsOnly bool
-	// NoHeuristics skips the pre-filters and sends every pattern
-	// straight to the exact solver (witnesses then always carry
-	// Method "solver" — useful for tests and strategy-depth studies).
+	// NoHeuristics once sent every pattern past the heuristic
+	// pre-filters, which no longer exist.
+	//
+	// Deprecated: the solver is the only method; ignored.
 	NoHeuristics bool
-	// HeuristicRounds bounds each heuristic probe run. Default 128:
-	// heuristic defeats close their cycles within tens of rounds (on
-	// the full n = 7 space the 128-round yield is identical to 512's),
-	// and a longer budget only prolongs the probes that gather.
-	HeuristicRounds int
 	// MaxStates bounds solver state creation (DefaultMaxStates if 0).
 	MaxStates int
 }
@@ -45,8 +34,9 @@ const (
 	// Safe: the exact solver proved every activation schedule (that
 	// keeps making progress) gathers.
 	Safe
-	// Undecided: heuristics-only mode failed to defeat the pattern;
-	// no exact claim is made.
+	// Undecided: no exact claim. Decide never returns it — the solver
+	// decides every pattern it accepts — but report consumers keep a
+	// name for the absent verdict.
 	Undecided
 )
 
@@ -68,17 +58,14 @@ type Verdict struct {
 	// Kind is the outcome; Witness is non-nil exactly for Defeatable.
 	Kind    VerdictKind
 	Witness *Witness
-	// Method says what decided the pattern: "solver", or
-	// "heuristic:<scheduler name>" for a pre-filter defeat;
-	// "heuristics" for an Undecided heuristics-only pass.
+	// Method says what decided the pattern: always "solver".
 	Method string
 	// Depth is the witness strategy length (prefix + one cycle lap).
 	Depth int
 	// States is the number of new game states the exact solver
-	// explored deciding this pattern (0 when a heuristic decided it
-	// first); with the shared memo, later patterns reuse earlier
-	// patterns' states, so the sum over a sweep is the size of the
-	// explored game graph.
+	// explored deciding this pattern; with the shared memo, later
+	// patterns reuse earlier patterns' states, so the sum over a sweep
+	// is the size of the explored game graph.
 	States int
 	// ReplayStatus, ReplayRounds and ReplayMoves record the verified
 	// witness replay through sched.Run (for Defeatable): the concrete
@@ -89,68 +76,40 @@ type Verdict struct {
 	ReplayMoves  int
 }
 
-// Adversary is the decision pipeline: cheap heuristic schedulers
-// first, the exact memoized safety-game solver for whatever they
-// cannot defeat. It keeps one solver (and its colored game graph)
-// across calls, so deciding a whole pattern space shares all state.
-// One Adversary is not safe for concurrent use (the heuristic
-// schedulers carry per-round scratch), but the solver it holds is:
-// a worker pool decides patterns in parallel by giving each worker its
-// own Fork — private heuristics, one shared concurrent game graph.
+// Adversary decides patterns with the exact memoized safety-game
+// solver and replay-verifies every defeat's witness. It keeps one
+// solver (and its colored game graph) across calls, so deciding a
+// whole pattern space shares all state. The solver is safe for
+// concurrent use, and so is an Adversary: a worker pool may call
+// Decide on one Adversary from every worker.
 type Adversary struct {
-	opts       Options
-	solver     *Solver
-	heuristics []sched.ConfigScheduler
+	opts   Options
+	solver *Solver
 }
 
-// New builds a decision pipeline from the options.
+// New builds an Adversary from the options.
 func New(opts Options) *Adversary {
 	if opts.Alg == nil {
 		opts.Alg = core.Gatherer{}
 	}
-	if opts.HeuristicRounds <= 0 {
-		opts.HeuristicRounds = 128
-	}
-	a := &Adversary{opts: opts}
-	if !opts.NoHeuristics {
-		a.heuristics = Heuristics(opts.Alg)
-	}
-	if !opts.HeuristicsOnly {
-		a.solver = NewSolver(opts.Alg, opts.Goal, opts.MaxStates)
-	}
-	return a
+	return &Adversary{opts: opts, solver: NewSolver(opts.Alg, opts.Goal, opts.MaxStates)}
 }
 
-// Fork returns a pipeline for another worker: fresh heuristic
-// schedulers (they keep per-round scratch and must not be shared), the
-// same shared solver and memoized game graph. Verdicts are identical
-// whichever fork decides a pattern; only the per-pattern States counts
-// depend on which fork got to the shared states first.
+// Fork returns a shallow copy sharing the solver and its memoized game
+// graph. An Adversary is safe for concurrent use, so a fork is never
+// required; it stays for callers that hand each worker its own value.
 func (a *Adversary) Fork() *Adversary {
-	b := &Adversary{opts: a.opts, solver: a.solver}
-	if !a.opts.NoHeuristics {
-		b.heuristics = Heuristics(a.opts.Alg)
-	}
-	return b
+	b := *a
+	return &b
 }
 
 // StatesExplored returns the cumulative size of the solver's explored
-// game graph (0 in heuristics-only mode).
-func (a *Adversary) StatesExplored() int {
-	if a.solver == nil {
-		return 0
-	}
-	return a.solver.StatesExplored()
-}
+// game graph.
+func (a *Adversary) StatesExplored() int { return a.solver.StatesExplored() }
 
-// MemoStats snapshots the solver store's hits/misses/created counters
-// (all zero in heuristics-only mode); see Solver.MemoStats.
-func (a *Adversary) MemoStats() memo.Stats {
-	if a.solver == nil {
-		return memo.Stats{}
-	}
-	return a.solver.MemoStats()
-}
+// MemoStats snapshots the solver store's hits/misses/created counters;
+// see Solver.MemoStats.
+func (a *Adversary) MemoStats() memo.Stats { return a.solver.MemoStats() }
 
 // Decide decides one pattern. Every Defeatable verdict carries a
 // witness already re-simulated through sched.Run and confirmed
@@ -158,34 +117,6 @@ func (a *Adversary) MemoStats() memo.Stats {
 // (it would mean the solver and the simulator disagree on the game's
 // dynamics).
 func (a *Adversary) Decide(initial config.Config) (Verdict, error) {
-	// Enforce the game's domain up front, whichever method ends up
-	// deciding: the solver envelope and the adjacency-connected space.
-	if initial.Len() == 0 || initial.Len() > MaxRobots {
-		return Verdict{}, fmt.Errorf("adversary: %d robots outside the solver envelope [1,%d]", initial.Len(), MaxRobots)
-	}
-	if !initial.Connected() {
-		return Verdict{}, fmt.Errorf("adversary: initial pattern %s is disconnected", initial.Key())
-	}
-	goal := a.opts.Goal
-	if goal == nil {
-		goal = config.GoalFor(initial.Len())
-	}
-	for _, h := range a.heuristics {
-		w := a.probe(initial, h, goal)
-		if w == nil {
-			continue
-		}
-		v := Verdict{Kind: Defeatable, Witness: w, Method: "heuristic:" + h.Name(), Depth: w.Depth()}
-		res, err := w.Verify(a.opts.Alg, goal)
-		if err != nil {
-			return v, err
-		}
-		v.ReplayStatus, v.ReplayRounds, v.ReplayMoves = res.Status, res.Rounds, res.Moves
-		return v, nil
-	}
-	if a.solver == nil {
-		return Verdict{Kind: Undecided, Method: "heuristics"}, nil
-	}
 	before := a.solver.StatesExplored()
 	defeatable, err := a.solver.Defeatable(initial)
 	states := a.solver.StatesExplored() - before
@@ -200,86 +131,10 @@ func (a *Adversary) Decide(initial config.Config) (Verdict, error) {
 		return Verdict{}, err
 	}
 	v := Verdict{Kind: Defeatable, Witness: w, Method: "solver", Depth: w.Depth(), States: states}
-	res, err := w.Verify(a.opts.Alg, goal)
+	res, err := w.Verify(a.opts.Alg, a.opts.Goal)
 	if err != nil {
 		return v, err
 	}
 	v.ReplayStatus, v.ReplayRounds, v.ReplayMoves = res.Status, res.Rounds, res.Moves
 	return v, nil
-}
-
-// probe runs one heuristic scheduler against the pattern and, when the
-// run fails to gather, extracts a certified witness from the recorded
-// activation history: terminal failures take the history as their
-// prefix; round-limited runs are scanned for the first repeated
-// pattern, whose closing segment is a replayable cycle (the dynamics
-// are deterministic and translation-invariant, so the segment loops
-// forever). A gathering or inconclusive run returns nil.
-func (a *Adversary) probe(initial config.Config, h sched.ConfigScheduler, goal func(config.Config) bool) *Witness {
-	rec := &recorder{inner: h}
-	res := sched.Run(a.opts.Alg, initial, rec, sim.Options{
-		MaxRounds:        a.opts.HeuristicRounds,
-		RecordTrace:      true,
-		DetectCycles:     true,
-		StopOnDisconnect: true,
-		Goal:             goal,
-	})
-	switch res.Status {
-	case sim.Gathered:
-		return nil
-	case sim.Collision:
-		return &Witness{Initial: initial, Prefix: rec.log, Kind: KindCollision}
-	case sim.Disconnected:
-		return &Witness{Initial: initial, Prefix: rec.log, Kind: KindDisconnection}
-	case sim.Stalled:
-		// The final recorded activation was the no-mover full
-		// fallback that let sched.Run decide the stall; it is not a
-		// transition, so it is not part of the witness.
-		return &Witness{Initial: initial, Prefix: rec.log[:len(rec.log)-1], Kind: KindStall}
-	}
-	// Livelock or round-limit: the heuristics activate at least one
-	// mover whenever movers exist, so every recorded round moved and
-	// trace index r is the configuration after r transitions. The
-	// first repeated pattern closes a cycle.
-	seen := make(map[string]int, len(res.Trace))
-	for j, c := range res.Trace {
-		key := c.Key()
-		if i, ok := seen[key]; ok {
-			return &Witness{
-				Initial: initial,
-				Prefix:  rec.log[:i],
-				Cycle:   rec.log[i:j],
-				Kind:    KindCycle,
-			}
-		}
-		seen[key] = j
-	}
-	return nil // no repeat within the budget: inconclusive
-}
-
-// recorder wraps a heuristic scheduler and logs every activation
-// subset it chooses, copying each (the heuristics reuse scratch).
-type recorder struct {
-	inner sched.ConfigScheduler
-	log   [][]int
-}
-
-// Name implements sched.Scheduler.
-func (r *recorder) Name() string { return r.inner.Name() }
-
-// Select implements sched.Scheduler.
-func (r *recorder) Select(n, round int) []int {
-	return r.record(r.inner.Select(n, round))
-}
-
-// SelectConfig implements sched.ConfigScheduler.
-func (r *recorder) SelectConfig(robots []grid.Coord, round int) []int {
-	return r.record(r.inner.SelectConfig(robots, round))
-}
-
-func (r *recorder) record(sel []int) []int {
-	cp := make([]int, len(sel))
-	copy(cp, sel)
-	r.log = append(r.log, cp)
-	return sel
 }

@@ -113,6 +113,17 @@ func (r replaySched) Select(n, round int) []int {
 	return everyone(n)
 }
 
+// everyone returns the full activation set — the replay's fallback
+// once a witness without a cycle runs out, which lets sched.Run decide
+// a stall on the spot.
+func everyone(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // Verify re-simulates the witness through the ordinary sched/sim
 // machinery and confirms the defeat: the run must not gather, the
 // outcome must match the witness kind, and for cycle witnesses the

@@ -45,8 +45,8 @@ import (
 //     resolution (4·n idle iterations, the loop's own threshold).
 //     A refused splice just keeps walking — never wrong, only slower.
 //
-// Tier A — everything else: seeded random SSYNC schedulers, the
-// adaptive adversary heuristics. Future activations are not a function
+// Tier A — everything else: seeded random SSYNC schedulers, adversary
+// witness replays. Future activations are not a function
 // of the state, so per-run outcomes are not facts of the pattern and
 // almost nothing can be shared. The one exception is schedule-
 // independent: if no robot moves under a *full* activation, the

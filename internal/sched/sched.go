@@ -27,21 +27,6 @@ type Scheduler interface {
 	Select(n int, round int) []int
 }
 
-// ConfigScheduler is a Scheduler whose activation choice may depend on
-// the current configuration — the adversarial schedulers of
-// internal/adversary recompute which robots want to move each round
-// and aim the activation at them. Run consults SelectConfig whenever
-// the scheduler implements it; Select remains the blind fallback for
-// callers without configuration access.
-type ConfigScheduler interface {
-	Scheduler
-	// SelectConfig returns the activated indices into robots, the
-	// current sorted node list. robots is a shared scratch buffer,
-	// valid only for the duration of the call — implementations must
-	// not retain it.
-	SelectConfig(robots []grid.Coord, round int) []int
-}
-
 // Periodic is implemented by deterministic schedulers whose selection
 // depends only on the robot count and the round number modulo a fixed
 // period: Select(n, r) == Select(n, r+Period(n)) for every r. For such
@@ -157,7 +142,7 @@ func (s *RandomSubset) Select(n, _ int) []int {
 // full-activation round enter the cycle set.
 //
 // Outcome memoization (opts.Outcomes, ignored with RecordTrace set):
-// for deterministic periodic non-adaptive schedulers the execution
+// for deterministic periodic schedulers the execution
 // state is (pattern, round mod period), so Run keys the shared outcome
 // store on that pair (memo.Key.WithPhase) and the run becomes the same
 // memoized graph walk the FSYNC simulator does — cut short at the
@@ -168,11 +153,11 @@ func (s *RandomSubset) Select(n, _ int) []int {
 // states entered fresh (idle == 0: the initial state, and every state
 // just after a moving round) are keyed; Outcome.Raw carries the idle
 // iterations a budget splice must account for. For every other
-// scheduler — the seeded random SSYNC adversaries, the adaptive
-// heuristics — future activations are not a function of the state, so
-// only the one schedule-independent fact is shared: a pattern with no
-// movers resolves (gathered or stalled) identically under every
-// scheduler. Run publishes that fact when a full activation proves it
+// scheduler — the seeded random SSYNC adversaries, a witness replay —
+// future activations are not a function of the state, so only the one
+// schedule-independent fact is shared: a pattern with no movers
+// resolves (gathered or stalled) identically under every scheduler.
+// Run publishes that fact when a full activation proves it
 // and splices it when the remaining budget provably covers the
 // direct loop's own idle-streak resolution (within 4·n iterations),
 // which is what lets a 32-seed SSYNC robustness sweep skip the stall
@@ -193,9 +178,8 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 		res.Trace = append(res.Trace, cur)
 	}
 	n := initial.Len()
-	cs, adaptive := s.(ConfigScheduler)
 	period := 0 // 0: no declared period — full-activation rounds only
-	if per, ok := s.(Periodic); ok && !adaptive {
+	if per, ok := s.(Periodic); ok {
 		if period = per.Period(n); period < 1 {
 			period = 1
 		}
@@ -242,12 +226,7 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 				}
 			}
 		}
-		var active []int
-		if adaptive {
-			active = cs.SelectConfig(robots, round)
-		} else {
-			active = s.Select(len(robots), round)
-		}
+		active := s.Select(len(robots), round)
 		targets, moving = targets[:len(robots)], moving[:len(robots)]
 		moved := 0
 		for i, p := range robots {

@@ -185,38 +185,3 @@ func BenchmarkRunRoundRobin(b *testing.B) {
 		Run(core.Gatherer{}, c, RoundRobin{}, sim.Options{MaxRounds: 5000})
 	}
 }
-
-// adaptiveStub is a ConfigScheduler that records the configurations it
-// was shown and activates the first robot only.
-type adaptiveStub struct {
-	calls  int
-	blind  int
-	robots int
-}
-
-func (s *adaptiveStub) Name() string { return "adaptive-stub" }
-
-func (s *adaptiveStub) Select(n, _ int) []int {
-	s.blind++
-	return []int{0}
-}
-
-func (s *adaptiveStub) SelectConfig(robots []grid.Coord, _ int) []int {
-	s.calls++
-	s.robots = len(robots)
-	return []int{0}
-}
-
-func TestRunConsultsConfigScheduler(t *testing.T) {
-	stub := &adaptiveStub{}
-	Run(core.Gatherer{}, config.Line(grid.Origin, grid.E, 7), stub, sim.Options{MaxRounds: 10})
-	if stub.calls == 0 {
-		t.Fatal("SelectConfig never called for a ConfigScheduler")
-	}
-	if stub.blind != 0 {
-		t.Fatalf("blind Select called %d times despite SelectConfig", stub.blind)
-	}
-	if stub.robots != 7 {
-		t.Fatalf("SelectConfig saw %d robots, want 7", stub.robots)
-	}
-}

@@ -24,11 +24,8 @@ import (
 //   - FSYNC outcome: the simulator is deterministic.
 //   - SSYNC robustness: seeds 1..TableSchedules each replay one exact
 //     schedule (the sweep.SSYNC factory).
-//   - Defeasibility: solver-only decisions (adversary.Options
-//     NoHeuristics) — verdicts, witness kinds and depths are
-//     interleaving-independent at any worker count, unlike the
-//     heuristic pre-filter pass whose method labels depend on probe
-//     order.
+//   - Defeasibility: the exact solver — verdicts, witness kinds and
+//     depths are interleaving-independent at any worker count.
 
 // Entry is one computed table row.
 type Entry struct {
@@ -119,7 +116,7 @@ func computeN(ctx context.Context, n, workers int, cache *core.Memo) ([]Entry, e
 
 	_, err = sweep.Stream(ctx, sweep.Spec{
 		N: n, Source: src, Workers: workers, Cache: cache,
-		Adversary: &adversary.Options{NoHeuristics: true},
+		Adversary: &adversary.Options{},
 	}, func(cr sweep.CaseResult) error {
 		a := &aggs[cr.Pattern]
 		switch cr.Verdict.Kind {

@@ -34,7 +34,7 @@ type AdvVerdict uint8
 
 const (
 	// AdvDefeatable: some SSYNC activation schedule prevents gathering
-	// (the exact solver or a certified heuristic found a witness).
+	// (the exact solver found a replay-verified witness).
 	AdvDefeatable AdvVerdict = iota
 	// AdvSafe: the exact solver proved every schedule gathers.
 	AdvSafe

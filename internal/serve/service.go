@@ -146,7 +146,7 @@ type Service struct {
 }
 
 // engine is the per-algorithm live tier: the memoized algorithm, its
-// shared outcome store, an adversary instance forked per decision, and
+// shared outcome store, one adversary shared by every decision, and
 // the single-flight table in front of it all.
 type engine struct {
 	alg      core.Algorithm
@@ -305,8 +305,8 @@ func (s *Service) engine(algName string) (*engine, error) {
 // solve computes one miss's Record with the live engines: the
 // deterministic FSYNC run, the seeded SSYNC robustness axis, and —
 // inside the adversary envelope — the exact defeasibility decision
-// (heuristic pre-filters first, solver for the rest, every defeat
-// witness replay-verified; outside it the verdict is AdvUndecided).
+// (the memoized solver, every defeat witness replay-verified; outside
+// it the verdict is AdvUndecided).
 func (s *Service) solve(e *engine, cfg config.Config) (Record, error) {
 	opts := sim.Options{
 		MaxRounds:        s.opts.MaxRounds,
@@ -323,10 +323,9 @@ func (s *Service) solve(e *engine, cfg config.Config) (Record, error) {
 	}
 	adv, wkind, depth := AdvUndecided, sim.Status(0), 0
 	if n := cfg.Len(); n <= s.opts.AdvMaxN && cfg.Connected() {
-		// Fork per decision: heuristic scratch is per-Adversary, the
-		// solver memo is shared, so concurrent misses stay safe and
-		// still reuse each other's game states.
-		v, err := e.adv.Fork().Decide(cfg)
+		// The Adversary is safe for concurrent use: concurrent misses
+		// share its solver memo and reuse each other's game states.
+		v, err := e.adv.Decide(cfg)
 		if err != nil {
 			return 0, err
 		}

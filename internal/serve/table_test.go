@@ -96,6 +96,31 @@ func TestTablePins(t *testing.T) {
 		t.Errorf("E14 pin: n=8 safe = %d, want 277", got)
 	}
 
+	// E13/E14 witness facts: the n = 8 witness-kind split and the
+	// longest strategies (16 at n = 7, 22 at n = 8).
+	e14Kinds := map[sim.Status]int{
+		sim.Livelock:     14459,
+		sim.Collision:    1654,
+		sim.Stalled:      201,
+		sim.Disconnected: 98,
+	}
+	for st, want := range e14Kinds {
+		if got := count(8, func(r Record) bool { return r.Adversary() == AdvDefeatable && r.WitnessKind() == st }); got != want {
+			t.Errorf("E14 pin: n=8 %v witnesses = %d, want %d", st, got, want)
+		}
+	}
+	for n, want := range map[int]int{7: 16, 8: 22} {
+		lo, hi, _ := TableRange(n)
+		deepest := 0
+		for i := lo; i < hi; i++ {
+			_, rec := TableEntry(i)
+			deepest = max(deepest, rec.WitnessDepth())
+		}
+		if deepest != want {
+			t.Errorf("E13/E14 pin: n=%d max witness depth = %d, want %d", n, deepest, want)
+		}
+	}
+
 	// Every table entry inside the solver envelope is decided: the
 	// table never serves "undecided" for n ≤ 8.
 	for n := 1; n <= 8; n++ {

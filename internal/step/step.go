@@ -2,7 +2,7 @@
 // look→compute→move implementation of the system's dynamics, consumed
 // by every execution layer — the FSYNC round loop (internal/sim), the
 // partial-activation schedulers (internal/sched), and the adversarial
-// safety-game solver and its heuristics (internal/adversary).
+// safety-game solver (internal/adversary).
 //
 // One SSYNC round is an activation choice followed by a simultaneous
 // deterministic step: each activated robot Looks, Computes and Moves at

@@ -117,21 +117,19 @@ type Spec struct {
 	Metrics *metrics.Registry
 	// Adversary switches the sweep from scheduler runs to exact
 	// adversarial decision (experiments E13/E14): each pattern is
-	// handed to internal/adversary — heuristic pre-filter schedulers
-	// first, the memoized safety-game solver for whatever they cannot
-	// defeat — and the CaseResult carries the Verdict (defeatable with
-	// a verified witness schedule / safe / undecided). Scheduler and
-	// Seeds are ignored (the adversary is universally quantified over
-	// schedules). Workers applies: when it is 1 or unset, decisions run
+	// decided by internal/adversary's memoized safety-game solver, and
+	// the CaseResult carries the Verdict (defeatable with a verified
+	// witness schedule, or safe). Scheduler, Seeds and MaxRounds are
+	// ignored (the adversary is universally quantified over schedules).
+	// Workers applies: when it is 1 or unset, decisions run
 	// single-threaded in source order, which keeps the per-pattern
 	// state counts deterministic; when it is larger, patterns decide in
-	// parallel over per-worker pipeline forks sharing one concurrent
-	// solver memo — verdicts, witnesses and every aggregate except the
-	// solver state counts are bit-identical to the sequential run (the
-	// whole n = 8 space decides in seconds this way). Alg and Goal
-	// default from the Spec when unset in the Options, and MaxRounds
-	// supplies the heuristic probe budget when Options.HeuristicRounds
-	// is unset.
+	// parallel over one concurrent solver memo — verdicts, witnesses
+	// and the report are bit-identical to the sequential run (the
+	// memo counts distinct states, so SolverStates agrees too), and
+	// only the per-pattern state counts depend on scheduling (the whole
+	// n = 8 space decides in about a second this way). Alg and Goal
+	// default from the Spec when unset in the Options.
 	Adversary *adversary.Options
 }
 
@@ -158,8 +156,7 @@ type CaseResult struct {
 	// exactly in adversary-mode sweeps (Spec.Adversary). Status then
 	// reflects the verdict: the witness kind's status for defeatable
 	// patterns (a forced cycle is a Livelock; collision, disconnection
-	// and stall are themselves), Gathered for safe ones, and
-	// RoundLimit as the undecided marker of a heuristics-only pass.
+	// and stall are themselves) and Gathered for safe ones.
 	Verdict *adversary.Verdict
 }
 
@@ -194,8 +191,9 @@ type Report struct {
 	Robust []int `json:"robust"`
 	// Adversary-mode aggregation (Spec.Adversary), zero otherwise:
 	// Defeatable / SafePatterns / Undecided partition the patterns by
-	// verdict, ByMethod counts what decided them (each heuristic
-	// scheduler by name, or "solver"), SolverStates is the total size
+	// verdict (Undecided is always 0 now that every pattern is decided
+	// exactly), ByMethod counts what decided them ("solver", the only
+	// method), SolverStates is the total size
 	// of the explored game graph (shared memo: later patterns reuse
 	// earlier patterns' states), and MaxWitnessDepth is the longest
 	// winning strategy found (prefix + one cycle lap).
@@ -282,9 +280,6 @@ func (r *Report) String() string {
 	}
 	if r.ByMethod != nil {
 		fmt.Fprintf(&b, "; adversary: %d defeatable / %d safe", r.Defeatable, r.SafePatterns)
-		if r.Undecided > 0 {
-			fmt.Fprintf(&b, " / %d undecided", r.Undecided)
-		}
 		fmt.Fprintf(&b, " (game states %d, max strategy depth %d)", r.SolverStates, r.MaxWitnessDepth)
 	}
 	return b.String()
@@ -530,8 +525,8 @@ func Stream(ctx context.Context, spec Spec, visit func(CaseResult) error) (*Repo
 // per pattern over one shared solver memo. With Workers unset (or 1)
 // the decisions run single-threaded in source order, which keeps the
 // per-pattern state counts deterministic; Workers > 1 decides patterns
-// in parallel on per-worker pipeline forks sharing the solver's
-// concurrent game graph, with the same in-order delivery and
+// in parallel over the solver's concurrent game graph, with the same
+// in-order delivery and
 // aggregation machinery as the scheduler sweeps. Rounds/Moves of
 // defeatable cases come from the verified witness replay, so the usual
 // aggregates describe the defeats.
@@ -549,13 +544,10 @@ func streamAdversary(ctx context.Context, spec Spec, visit func(CaseResult) erro
 	if opts.Goal == nil {
 		opts.Goal = spec.Goal
 	}
-	if opts.HeuristicRounds == 0 {
-		opts.HeuristicRounds = spec.MaxRounds // probe budget; 0 keeps the adversary default
-	}
 	if spec.Cache != nil {
 		// Share the view→move cache like the scheduler paths do; the
-		// solver and heuristics both ride ComputePacked, so the memoized
-		// wrapper slots straight in.
+		// solver rides ComputePacked, so the memoized wrapper slots
+		// straight in.
 		opts.Alg = core.Memoize(opts.Alg, spec.Cache)
 	}
 	adv := adversary.New(opts)
@@ -615,15 +607,12 @@ func streamAdversary(ctx context.Context, spec Spec, visit func(CaseResult) erro
 // verdictCase maps one decided pattern onto the sweep's case currency:
 // the witness kind's status for defeatable patterns (a forced cycle is
 // a livelock however its bounded replay ends — rounds/moves describe
-// the verified replay), Gathered for safe ones, RoundLimit as the
-// undecided marker of a heuristics-only pass.
+// the verified replay) and Gathered for safe ones.
 func verdictCase(i int, c config.Config, verdict adversary.Verdict) CaseResult {
 	cr := CaseResult{Index: i, Pattern: i, Initial: c, Verdict: &verdict}
 	switch verdict.Kind {
 	case adversary.Safe:
 		cr.Status = sim.Gathered
-	case adversary.Undecided:
-		cr.Status = sim.RoundLimit
 	case adversary.Defeatable:
 		cr.Status = verdict.Witness.Status()
 		cr.Rounds = verdict.ReplayRounds
@@ -650,8 +639,6 @@ func (a *verdictAgg) absorb(cr CaseResult) error {
 	switch cr.Verdict.Kind {
 	case adversary.Safe:
 		report.SafePatterns++
-	case adversary.Undecided:
-		report.Undecided++
 	case adversary.Defeatable:
 		report.Defeatable++
 		if cr.Verdict.Depth > report.MaxWitnessDepth {
@@ -667,8 +654,7 @@ func (a *verdictAgg) absorb(cr CaseResult) error {
 		report.ByClass[cr.Class]++
 	}
 	// The rounds/moves aggregates describe the witness replays, so
-	// only defeats (which have a replay) contribute — undecided
-	// heuristics-only cases would dilute the means with zeros.
+	// only defeats (which have a replay) contribute.
 	if cr.Verdict.Kind == adversary.Defeatable {
 		a.defeats++
 		a.sumRounds += cr.Rounds
@@ -695,11 +681,11 @@ func (a *verdictAgg) absorb(cr CaseResult) error {
 }
 
 // runAdversaryParallel is the pattern-parallel adversary executor: the
-// dispatcher streams patterns through a bounded window, each worker
-// decides on its own pipeline fork (private heuristic scratch, shared
-// concurrent solver memo), and the collector reorders completions so
-// absorption — and therefore the report, the visitor stream, and every
-// witness — is identical to the sequential executor's. Only the
+// dispatcher streams patterns through a bounded window, every worker
+// decides on the one Adversary (its solver memo is concurrent), and
+// the collector reorders completions so absorption — and therefore the
+// report, the visitor stream, and every witness — is identical to the
+// sequential executor's. Only the
 // per-pattern solver state counts (Verdict.States) depend on
 // scheduling: they say which worker reached a shared state first.
 func runAdversaryParallel(ctx context.Context, spec Spec, adv *adversary.Adversary, agg *verdictAgg) error {
@@ -720,13 +706,12 @@ func runAdversaryParallel(ctx context.Context, spec Spec, adv *adversary.Adversa
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fork := adv.Fork()
 			for j := range jobs {
 				if ctx.Err() != nil {
 					continue // cancelled: drain the queue without deciding
 				}
 				var out outcome
-				verdict, err := fork.Decide(j.initial)
+				verdict, err := adv.Decide(j.initial)
 				if err != nil {
 					out.err = fmt.Errorf("pattern %d (%s): %w", j.pattern, j.initial.Key(), err)
 					out.cr.Index = j.index

@@ -9,7 +9,9 @@ package sweep_test
 // report-for-report against the legacy simulator paths.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
@@ -308,28 +310,52 @@ func TestAdversaryMode(t *testing.T) {
 	}
 }
 
-// TestAdversaryModeHeuristicsOnly: undecided patterns surface as
-// round-limit cases, and the partition still covers the space.
-func TestAdversaryModeHeuristicsOnly(t *testing.T) {
-	rep, err := sweep.Run(context.Background(), sweep.Spec{
-		N:         6,
-		Adversary: &adversary.Options{HeuristicsOnly: true},
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestAdversaryModeSolverOnly: the exact solver decides every n = 7
+// pattern (E13: 3228 defeatable / 424 safe), and the serialized report
+// is byte-identical whether one worker or two decide — the solver
+// memo counts distinct game states, so even solver_states agrees.
+func TestAdversaryModeSolverOnly(t *testing.T) {
+	var reports [][]byte
+	for _, workers := range []int{1, 2} {
+		rep, err := sweep.Run(context.Background(), sweep.Spec{
+			N: 7, Workers: workers, Adversary: &adversary.Options{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Defeatable != 3228 || rep.SafePatterns != 424 || rep.Undecided != 0 {
+			t.Fatalf("workers=%d: partition %d/%d/%d, want 3228/424/0",
+				workers, rep.Defeatable, rep.SafePatterns, rep.Undecided)
+		}
+		if want := map[string]int{"solver": 3652}; !reflect.DeepEqual(rep.ByMethod, want) {
+			t.Fatalf("workers=%d: by_method %v, want %v", workers, rep.ByMethod, want)
+		}
+		if rep.SolverStates != 3652 || rep.MaxWitnessDepth != 16 {
+			t.Fatalf("workers=%d: solver_states %d, max_witness_depth %d, want 3652, 16",
+				workers, rep.SolverStates, rep.MaxWitnessDepth)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, data)
 	}
-	if rep.Defeatable+rep.Undecided != rep.Patterns {
-		t.Fatalf("heuristics-only partition %d+%d != %d", rep.Defeatable, rep.Undecided, rep.Patterns)
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("worker count changed the adversary report:\n%s\nvs\n%s", reports[0], reports[1])
 	}
-	if rep.SafePatterns != 0 {
-		t.Fatalf("heuristics-only pass claimed %d safe patterns", rep.SafePatterns)
+}
+
+// TestAdversaryNoHeuristicsIgnored: the deprecated option changes nothing.
+func TestAdversaryNoHeuristicsIgnored(t *testing.T) {
+	run := func(opts adversary.Options) *sweep.Report {
+		rep, err := sweep.Run(context.Background(), sweep.Spec{N: 6, Adversary: &opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	if rep.Undecided == 0 {
-		t.Fatal("expected undecided patterns at n=6 (93 are safe)")
-	}
-	if rep.ByStatus[sim.RoundLimit] != rep.Undecided {
-		t.Fatalf("undecided marker mismatch: %d round-limit vs %d undecided",
-			rep.ByStatus[sim.RoundLimit], rep.Undecided)
+	if a, b := run(adversary.Options{NoHeuristics: true}), run(adversary.Options{}); !reflect.DeepEqual(a, b) {
+		t.Fatalf("NoHeuristics changed the report:\n%v\nvs\n%v", a, b)
 	}
 }
 
@@ -337,7 +363,7 @@ func TestAdversaryModeHeuristicsOnly(t *testing.T) {
 // over the full n = 6 space sequentially and with a worker pool
 // sharing the concurrent solver memo (this is also the test that
 // hammers the sharded memo under -race in CI): the reports must agree
-// on everything except the solver state count, which records which
+// on everything except the memo's lookup tallies, which record which
 // worker reached a shared game state first.
 func TestAdversaryModeWorkerDeterminism(t *testing.T) {
 	seq, err := sweep.Run(context.Background(), sweep.Spec{N: 6, Adversary: &adversary.Options{}})
@@ -365,9 +391,11 @@ func TestAdversaryModeWorkerDeterminism(t *testing.T) {
 	if delivered != seq.Patterns {
 		t.Fatalf("parallel sweep delivered %d verdicts, want %d", delivered, seq.Patterns)
 	}
-	// Neutralize the scheduling-dependent diagnostics, then require
-	// bit-identical reports.
-	seq.SolverStates, par.SolverStates = 0, 0
+	// Neutralize the scheduling-dependent diagnostics (the memo's hit
+	// and miss tallies count racing lookups; its distinct-state count,
+	// SolverStates, does not race), then require identical reports.
+	seq.Memo.Hits, par.Memo.Hits = 0, 0
+	seq.Memo.Misses, par.Memo.Misses = 0, 0
 	seq.PeakPending, par.PeakPending = 0, 0
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("worker count changed the adversary report:\nseq: %+v\npar: %+v", seq, par)
