@@ -20,7 +20,6 @@
 //	E18 BenchmarkE18_VerdictService      — verdict-service hit path (O(1), 0 allocs)
 //	E20 BenchmarkE20_N10Sweep            — the full n = 10 FSYNC map
 //	E20 BenchmarkE20_EnumerateN10Key     — key-native n = 10 enumeration
-//	E20 BenchmarkE20_EnumerateN10Legacy  — the materializing engine it replaced
 //
 // Run all of them with: go test -bench=. -benchmem .
 package repro
@@ -39,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/enumerate"
-	"repro/internal/exhaustive"
 	"repro/internal/grid"
 	"repro/internal/impossibility"
 	"repro/internal/memo"
@@ -67,13 +65,13 @@ func BenchmarkE1_Theorem1Impossibility(b *testing.B) {
 
 // BenchmarkE2_Theorem2Exhaustive regenerates the paper's headline claim:
 // gathering from all 3652 connected initial configurations. The sweep
-// shares one packed-view cache across iterations (exhaustive.Options
-// .Cache), so after the first sweep every Look-Compute decision is a
-// table hit — the number the packed engine is judged by.
+// shares one packed-view cache across iterations (sweep.Spec.Cache), so
+// after the first sweep every Look-Compute decision is a table hit —
+// the number the packed engine is judged by.
 func BenchmarkE2_Theorem2Exhaustive(b *testing.B) {
 	cache := core.NewMemo()
 	for i := 0; i < b.N; i++ {
-		rep := exhaustive.Verify(core.Gatherer{}, exhaustive.Options{Cache: cache})
+		rep := theorem2Sweep(b, sweep.Spec{Cache: cache})
 		if !rep.AllGathered() {
 			b.Fatalf("verification failed: %s", rep)
 		}
@@ -82,12 +80,23 @@ func BenchmarkE2_Theorem2Exhaustive(b *testing.B) {
 	}
 }
 
+// theorem2Sweep runs the FSYNC sweep of the spec's space (default: all
+// 3652 seven-robot patterns) with cases retained.
+func theorem2Sweep(b *testing.B, spec sweep.Spec) *sweep.Report {
+	spec.KeepCases = true
+	rep, err := sweep.Run(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 // The E2 ablation benches measure how far each reconstruction layer gets;
 // the reported "gathered" metric is the comparison the DESIGN.md
 // reconstruction decisions are judged by.
 func benchVariant(b *testing.B, v core.Variant) {
 	for i := 0; i < b.N; i++ {
-		rep := exhaustive.Verify(core.Gatherer{Variant: v}, exhaustive.Options{})
+		rep := theorem2Sweep(b, sweep.Spec{Alg: core.Gatherer{Variant: v}})
 		b.ReportMetric(float64(rep.Gathered()), "gathered")
 	}
 }
@@ -108,7 +117,7 @@ func BenchmarkE2_AblationNoTable(b *testing.B) { benchVariant(b, core.VariantNoT
 // colliding and disconnecting (gathered ≈ 0).
 func BenchmarkE2_BaselineGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exhaustive.Verify(core.GreedyEast{}, exhaustive.Options{})
+		rep := theorem2Sweep(b, sweep.Spec{Alg: core.GreedyEast{}})
 		b.ReportMetric(float64(rep.Gathered()), "gathered")
 		b.ReportMetric(float64(rep.ByStatus[sim.Collision]), "collisions")
 	}
@@ -176,7 +185,7 @@ func BenchmarkE6_BaseNodeScenarios(b *testing.B) {
 // BenchmarkE7_RoundsByDiameter regenerates the rounds-vs-diameter table.
 func BenchmarkE7_RoundsByDiameter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exhaustive.Verify(core.Gatherer{}, exhaustive.Options{})
+		rep := theorem2Sweep(b, sweep.Spec{})
 		stats := rep.RoundsByDiameter()
 		if len(stats) == 0 {
 			b.Fatal("no diameter stats")
@@ -382,26 +391,12 @@ func BenchmarkE20_N10Sweep(b *testing.B) {
 // generations are packed-key sets — a duplicate candidate costs a
 // probe of a flat open-addressed table and no allocation — and the
 // result materializes into one contiguous node array at the end.
-// Judge it against BenchmarkE20_EnumerateN10Legacy below: the
-// acceptance floor for the rewrite was ≥ 3× ns/op and ≥ 5× allocs/op.
+// Its acceptance floor against the materializing engine it replaced
+// (EXPERIMENTS.md, E20) was ≥ 3× ns/op and ≥ 5× allocs/op.
 func BenchmarkE20_EnumerateN10Key(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if got := len(enumerate.Connected(10)); got != enumerate.KnownCounts[10] {
-			b.Fatalf("enumerated %d patterns, want %d", got, enumerate.KnownCounts[10])
-		}
-	}
-}
-
-// BenchmarkE20_EnumerateN10Legacy is the engine the key-native path
-// replaced — a config.Config per pattern per generation, builtin maps,
-// sort.Slice over configs — kept runnable as the differential
-// reference so the before/after ratio stays visible in every bench
-// run rather than fossilizing in a doc.
-func BenchmarkE20_EnumerateN10Legacy(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if got := len(enumerate.ConnectedLegacy(10)); got != enumerate.KnownCounts[10] {
 			b.Fatalf("enumerated %d patterns, want %d", got, enumerate.KnownCounts[10])
 		}
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"go/format"
@@ -24,7 +25,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/exhaustive"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -34,10 +35,14 @@ func main() {
 	alg := core.Gatherer{}
 	memo := core.NewMemo()
 	// The Cache wrapper routes every packed decision through the Memo
-	// (computing each one from the legacy Compute path), so the
-	// snapshot below is exactly the set of views the sweep visits —
-	// independent of the process-wide seeded tables being generated.
-	rep := exhaustive.Verify(alg, exhaustive.Options{Cache: memo})
+	// (computing each one from the map-based Compute), so the snapshot
+	// below is exactly the set of views the sweep visits — independent
+	// of the process-wide seeded tables being generated.
+	rep, err := sweep.Run(context.Background(), sweep.Spec{Alg: alg, Cache: memo})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "memogen: %v\n", err)
+		os.Exit(1)
+	}
 	if !rep.AllGathered() {
 		fmt.Fprintf(os.Stderr, "memogen: sweep did not fully gather: %s\n", rep)
 		os.Exit(1)

@@ -2,26 +2,28 @@ package repro
 
 // The packed engine (bitmask views, memoized ComputePacked, compact
 // pattern keys, the allocation-free round loop) is a pure optimization:
-// it must be observationally identical to the legacy map/string path.
-// These tests pin that down at every layer the refactor touched —
-// per-view decisions, enumeration dedup, and the full Theorem 2 sweep.
+// it must be observationally identical to the map/string reference in
+// the test-only internal/oracle package. These tests pin that down at
+// every layer — per-view decisions, enumeration dedup, and the full
+// Theorem 2 sweep.
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/enumerate"
-	"repro/internal/exhaustive"
-	"repro/internal/grid"
+	"repro/internal/oracle"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/vision"
 )
 
-// legacyOnly hides an algorithm's ComputePacked method, forcing sim.Run
-// and exhaustive.Verify onto the legacy map-based path.
+// legacyOnly hides an algorithm's ComputePacked method, so the kernel
+// decides every view through the map-based Compute instead of the
+// algorithm's packed memo table.
 type legacyOnly struct{ core.Algorithm }
 
 // TestComputePackedMatchesCompute checks, for every view arising in the
@@ -74,32 +76,6 @@ func TestThreeGathererPackedMatchesCompute(t *testing.T) {
 	}
 }
 
-// legacyConnected is the pre-refactor enumeration: growth deduplicated
-// by canonical string key. It is the reference Key64-based dedup must
-// reproduce exactly.
-func legacyConnected(n int) map[string]config.Config {
-	current := map[string]config.Config{
-		config.New(grid.Origin).Key(): config.New(grid.Origin),
-	}
-	for size := 1; size < n; size++ {
-		next := make(map[string]config.Config, len(current)*4)
-		for _, c := range current {
-			set := c.Set()
-			for _, v := range c.Nodes() {
-				for _, nb := range v.Neighbors() {
-					if set[nb] {
-						continue
-					}
-					ext := config.New(append(c.Nodes(), nb)...).Normalize()
-					next[ext.Key()] = ext
-				}
-			}
-		}
-		current = next
-	}
-	return current
-}
-
 // TestCompactDedupMatchesStringDedup checks that the two-tier
 // compact-key enumeration produces exactly the same pattern set as
 // string-key dedup for every size through n=8: sizes 1..7 exercise the
@@ -112,57 +88,71 @@ func TestCompactDedupMatchesStringDedup(t *testing.T) {
 		top = 7
 	}
 	for n := 1; n <= top; n++ {
-		want := legacyConnected(n)
+		want := oracle.Connected(n)
 		got := enumerate.Connected(n)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d patterns, want %d", n, len(got), len(want))
 		}
-		for _, c := range got {
-			if _, ok := want[c.Key()]; !ok {
-				t.Fatalf("n=%d: pattern %s not in string-keyed reference", n, c.Key())
+		for i, c := range got {
+			if c.Key() != want[i].Key() {
+				t.Fatalf("n=%d: pattern %d is %s, string-keyed reference has %s", n, i, c.Key(), want[i].Key())
 			}
 		}
 	}
 }
 
-// TestPackedSweepReportMatchesLegacy runs the full Theorem 2 sweep twice
-// — once on the packed fast path, once with ComputePacked hidden so
-// every layer falls back to the legacy map/string machinery — and
-// requires the reports to be byte-identical: same per-case status,
-// rounds and moves for all 3652 patterns, same aggregates, same
-// rendering.
+// TestPackedSweepReportMatchesLegacy runs the full Theorem 2 sweep on
+// the engine and replays every one of its 3652 patterns through the
+// oracle's map/string loop: same per-case status, rounds and moves,
+// and the same aggregates recomputed from the oracle's runs. A second
+// sweep with ComputePacked hidden must produce the byte-identical
+// report.
 func TestPackedSweepReportMatchesLegacy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 2×3652-pattern sweep in -short mode")
+		t.Skip("full 3652-pattern sweep against the reference loop in -short mode")
 	}
-	packed := exhaustive.Verify(core.Gatherer{}, exhaustive.Options{})
-	legacy := exhaustive.Verify(legacyOnly{core.Gatherer{}}, exhaustive.Options{})
-	if got, want := packed.String(), legacy.String(); got != want {
-		t.Fatalf("report mismatch:\npacked: %s\nlegacy: %s", got, want)
-	}
-	if !reflect.DeepEqual(packed.ByStatus, legacy.ByStatus) {
-		t.Fatalf("status counts diverge: %v vs %v", packed.ByStatus, legacy.ByStatus)
-	}
-	if packed.MaxRounds != legacy.MaxRounds || packed.MeanRounds != legacy.MeanRounds ||
-		packed.MaxMoves != legacy.MaxMoves || packed.MeanMoves != legacy.MeanMoves {
-		t.Fatal("aggregate round/move statistics diverge")
-	}
-	if len(packed.Cases) != len(legacy.Cases) {
-		t.Fatalf("case counts diverge: %d vs %d", len(packed.Cases), len(legacy.Cases))
-	}
-	for i := range packed.Cases {
-		p, l := packed.Cases[i], legacy.Cases[i]
-		if !p.Initial.Equal(l.Initial) || p.Status != l.Status || p.Rounds != l.Rounds || p.Moves != l.Moves {
-			t.Fatalf("case %d diverges: packed %v/%d/%d legacy %v/%d/%d on %s",
-				i, p.Status, p.Rounds, p.Moves, l.Status, l.Rounds, l.Moves, p.Initial.Key())
+	run := func(alg core.Algorithm) *sweep.Report {
+		rep, err := sweep.Run(context.Background(), sweep.Spec{Alg: alg, KeepCases: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rep
+	}
+	packed := run(core.Gatherer{})
+	if unpacked := run(legacyOnly{core.Gatherer{}}); unpacked.String() != packed.String() {
+		t.Fatalf("report mismatch:\npacked:   %s\nunpacked: %s", packed, unpacked)
+	}
+	opts := sim.Options{DetectCycles: true, StopOnDisconnect: true}
+	byStatus := map[sim.Status]int{}
+	maxRounds, maxMoves, sumRounds, sumMoves := 0, 0, 0, 0
+	for i, c := range enumerate.Connected(7) {
+		l := oracle.Run(core.Gatherer{}, c, opts)
+		p := packed.Cases[i]
+		if !p.Initial.Equal(c) || p.Status != l.Status || p.Rounds != l.Rounds || p.Moves != l.Moves {
+			t.Fatalf("case %d diverges: packed %v/%d/%d oracle %v/%d/%d on %s",
+				i, p.Status, p.Rounds, p.Moves, l.Status, l.Rounds, l.Moves, c.Key())
+		}
+		byStatus[l.Status]++
+		if l.Status == sim.Gathered {
+			maxRounds, maxMoves = max(maxRounds, l.Rounds), max(maxMoves, l.Moves)
+			sumRounds += l.Rounds
+			sumMoves += l.Moves
+		}
+	}
+	if !reflect.DeepEqual(packed.ByStatus, byStatus) {
+		t.Fatalf("status counts diverge: %v vs %v", packed.ByStatus, byStatus)
+	}
+	g := float64(byStatus[sim.Gathered])
+	if packed.MaxRounds != maxRounds || packed.MeanRounds != float64(sumRounds)/g ||
+		packed.MaxMoves != maxMoves || packed.MeanMoves != float64(sumMoves)/g {
+		t.Fatal("aggregate round/move statistics diverge")
 	}
 }
 
-// TestPackedRunMatchesLegacyOnEight extends the packed/legacy
+// TestPackedRunMatchesLegacyOnEight extends the engine/oracle
 // equivalence past the paper's size: on a sample of the 16689-pattern
 // n=8 space (experiment E11), with the generalized minimum-diameter
-// goal defaulting in, both paths must agree case for case — including
+// goal defaulting in, both loops must agree case for case — including
 // the failure statuses the seven-robot algorithm produces out of its
 // depth.
 func TestPackedRunMatchesLegacyOnEight(t *testing.T) {
@@ -171,17 +161,18 @@ func TestPackedRunMatchesLegacyOnEight(t *testing.T) {
 	for i := 0; i < len(initials); i += 167 { // ~100 sampled cases
 		c := initials[i]
 		p := sim.Run(core.Gatherer{}, c, opts)
-		l := sim.Run(legacyOnly{core.Gatherer{}}, c, opts)
+		l := oracle.Run(core.Gatherer{}, c, opts)
 		if p.Status != l.Status || p.Rounds != l.Rounds || p.Moves != l.Moves || !p.Final.Equal(l.Final) {
-			t.Fatalf("n=8 %s: packed %v/%d/%d legacy %v/%d/%d",
+			t.Fatalf("n=8 %s: packed %v/%d/%d oracle %v/%d/%d",
 				c.Key(), p.Status, p.Rounds, p.Moves, l.Status, l.Rounds, l.Moves)
 		}
 	}
 }
 
 // TestPackedRunMatchesLegacyOnFailures exercises the failure statuses
-// (collision, disconnection, livelock, stall) through both paths with
-// the baselines, since the Gatherer sweep only ever gathers.
+// (collision, disconnection, livelock, stall) through the engine and
+// the oracle with the baselines, since the Gatherer sweep only ever
+// gathers.
 func TestPackedRunMatchesLegacyOnFailures(t *testing.T) {
 	initials := enumerate.Connected(7)
 	sort.Slice(initials, func(i, j int) bool { return initials[i].Compare(initials[j]) < 0 })
@@ -190,9 +181,9 @@ func TestPackedRunMatchesLegacyOnFailures(t *testing.T) {
 		for i := 0; i < len(initials); i += 37 { // sampled: ~100 cases per algorithm
 			c := initials[i]
 			p := sim.Run(alg, c, opts)
-			l := sim.Run(legacyOnly{alg}, c, opts)
+			l := oracle.Run(alg, c, opts)
 			if p.Status != l.Status || p.Rounds != l.Rounds || p.Moves != l.Moves || !p.Final.Equal(l.Final) {
-				t.Fatalf("%s on %s: packed %v/%d/%d legacy %v/%d/%d",
+				t.Fatalf("%s on %s: packed %v/%d/%d oracle %v/%d/%d",
 					alg.Name(), c.Key(), p.Status, p.Rounds, p.Moves, l.Status, l.Rounds, l.Moves)
 			}
 			if (p.Collision == nil) != (l.Collision == nil) {

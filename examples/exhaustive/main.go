@@ -4,11 +4,22 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
-	"repro/internal/exhaustive"
+	"repro/internal/sweep"
 )
+
+// verify sweeps every connected seven-robot pattern under FSYNC.
+func verify(alg core.Algorithm) *sweep.Report {
+	rep, err := sweep.Run(context.Background(), sweep.Spec{Alg: alg})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep
+}
 
 func main() {
 	fmt.Println("Theorem 2 (paper §IV-B): gathering from all connected initial")
@@ -23,12 +34,12 @@ func main() {
 	}
 	fmt.Printf("%-28s %9s %8s %10s\n", "variant", "gathered", "of", "max-rounds")
 	for _, v := range variants {
-		rep := exhaustive.Verify(core.Gatherer{Variant: v}, exhaustive.Options{})
+		rep := verify(core.Gatherer{Variant: v})
 		fmt.Printf("%-28s %9d %8d %10d\n", rep.Algorithm, rep.Gathered(), rep.Total, rep.MaxRounds)
 	}
 
 	fmt.Println()
-	full := exhaustive.Verify(core.Gatherer{}, exhaustive.Options{})
+	full := verify(core.Gatherer{})
 	if full.AllGathered() {
 		fmt.Println("PAPER CLAIM REPRODUCED:", full)
 	} else {

@@ -246,11 +246,8 @@ func newSearch(s *Solver) *search {
 // expand computes the per-robot decisions of a state through the
 // shared kernel: the move of each robot and the bitmask of movers.
 // nodes must be sorted by Q then R.
-func (s *Solver) expand(cfg config.Config, nodes []grid.Coord, moves []core.Move) uint16 {
-	if !s.k.Packable() && cfg.Len() == 0 {
-		cfg = config.New(nodes...)
-	}
-	s.k.Moves(cfg, nodes, moves)
+func (s *Solver) expand(nodes []grid.Coord, moves []core.Move) uint16 {
+	s.k.Moves(nodes, moves)
 	return uint16(step.MoverMask(moves))
 }
 
@@ -267,25 +264,15 @@ func (g *search) solve(nodes []grid.Coord, key memo.Key) color {
 	g.onPath[key] = struct{}{}
 	defer delete(g.onPath, key)
 	n := len(nodes)
-	// On the packed path the Config is consulted only at terminal
-	// no-mover states (the goal check), so defer building it — one
-	// fewer O(n) allocation per explored state.
-	var cfg config.Config
-	if !s.k.Packable() {
-		cfg = config.New(nodes...)
-	}
 	var moves [MaxRobots]core.Move
-	movers := step.Mask(s.expand(cfg, nodes, moves[:n]))
+	movers := step.Mask(s.expand(nodes, moves[:n]))
 	if movers == 0 {
 		// Terminal: no activation changes anything. Gathered is the
 		// protagonist's goal; anything else is a stall the adversary
 		// holds forever (activating everyone each round keeps even a
 		// per-robot fairness requirement satisfied).
-		if s.k.Packable() {
-			cfg = config.New(nodes...)
-		}
 		v := verdict{color: defeated}
-		if s.goal(cfg) {
+		if s.goal(config.New(nodes...)) {
 			v = verdict{color: safe}
 		}
 		s.memo.Publish(key, v)

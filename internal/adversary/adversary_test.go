@@ -143,7 +143,7 @@ func TestRolloutDefeatsAreSolverDefeatable(t *testing.T) {
 				// merely never activated a mover; certify by recomputing.
 				nodes := res.Final.Nodes()
 				var moves [MaxRobots]core.Move
-				proven = probe.expand(res.Final, nodes, moves[:len(nodes)]) == 0
+				proven = probe.expand(nodes, moves[:len(nodes)]) == 0
 			}
 			if !proven {
 				continue

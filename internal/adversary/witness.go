@@ -212,7 +212,7 @@ func (s *Solver) witness(initial config.Config) (*Witness, error) {
 		}
 		n := len(nodes)
 		var moves [MaxRobots]core.Move
-		movers := step.Mask(s.expand(cfg, nodes, moves[:n]))
+		movers := step.Mask(s.expand(nodes, moves[:n]))
 		if movers == 0 {
 			if s.goal(cfg) {
 				return nil, fmt.Errorf("adversary: internal: witness walk reached gathered %s", key)

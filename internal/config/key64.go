@@ -111,8 +111,8 @@ func (s *PatternSet) Len() int { return len(s.exact) + len(s.wide) + len(s.slow)
 
 // Reset empties the set but keeps its maps (and their bucket storage)
 // allocated, so one set can be pooled across many runs: the simulator's
-// cycle detection grows a set per run, and exhaustive.Verify hands each
-// worker one reusable set instead (sim.Options.CycleSet).
+// cycle detection grows a set per run, and every sweep worker hands its
+// runs one reusable set instead (sim.Options.CycleSet).
 func (s *PatternSet) Reset() {
 	clear(s.exact)
 	clear(s.wide)

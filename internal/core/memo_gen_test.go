@@ -3,23 +3,27 @@ package core_test
 // The generated converged memo table (gatherer_memo_gen.go) claims to
 // be exactly the view→move fixed point of the full n = 7 exhaustive
 // sweep. This external test recomputes that fixed point from scratch —
-// through a caller-owned Memo, so every decision comes from the legacy
-// Compute path, independent of the seeded process-wide tables — and
+// through a caller-owned Memo, so every decision comes from the
+// map-based Compute, independent of the seeded process-wide tables — and
 // requires the committed table to match entry for entry. A drift in
 // the algorithm, the packing, or the sweep space fails here before it
 // can silently ship a stale table.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exhaustive"
+	"repro/internal/sweep"
 )
 
 func TestGeneratedMemoMatchesFixedPoint(t *testing.T) {
 	alg := core.Gatherer{}
 	memo := core.NewMemo()
-	rep := exhaustive.Verify(alg, exhaustive.Options{Cache: memo})
+	rep, err := sweep.Run(context.Background(), sweep.Spec{Alg: alg, Cache: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rep.AllGathered() {
 		t.Fatalf("n=7 sweep did not fully gather: %s", rep)
 	}

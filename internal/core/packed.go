@@ -7,10 +7,10 @@ import (
 )
 
 // PackedAlgorithm is the fast path of the packed engine: an Algorithm
-// that can also decide from a bitmask view. The simulator's round loop
-// uses ComputePacked (and stays allocation-free) whenever the algorithm
-// implements it and its range fits vision.MaxPackedRange; everything
-// else goes through the legacy map-based path. Implementations must
+// that can also decide from a bitmask view. The transition kernel
+// (internal/step) uses ComputePacked (and stays allocation-free)
+// whenever the algorithm implements it; any other algorithm decides
+// through Compute on the unpacked view. Implementations must
 // agree with Compute on every view — ComputePacked(pv) must equal
 // Compute(v) whenever pv is the packing of v (the equivalence test in
 // the root package enforces this for every shipped algorithm).
@@ -158,7 +158,7 @@ func (m *Memo) Len() int {
 
 // Memoized adapts any Algorithm to a PackedAlgorithm by backing
 // ComputePacked with its table from a Memo. Name, VisibilityRange and
-// Compute delegate, so reports and the legacy path are unchanged.
+// Compute delegate, so reports and the map-based Compute are unchanged.
 // Build with Memoize.
 type Memoized struct {
 	alg   Algorithm
@@ -167,7 +167,7 @@ type Memoized struct {
 
 // Memoize wraps alg with its per-name table from memo (a fresh cache
 // when memo is nil). Passing one Memo to several Memoize calls — or to
-// several sweeps via exhaustive.Options.Cache — shares the cache
+// several sweeps via sweep.Spec.Cache — shares the cache
 // across them; decisions stay segregated per algorithm name.
 func Memoize(alg Algorithm, memo *Memo) Memoized {
 	if memo == nil {

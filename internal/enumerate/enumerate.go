@@ -18,10 +18,11 @@
 // and a configuration is only rebuilt from its key
 // (config.FromKey128) when a caller visits it. The canonical output
 // order is ascending key order ("key/v1"), which coincides with the
-// config.Compare order the legacy engine emitted. That legacy
-// materializing engine (connectedMap below) is retained as the
-// differential reference and as the fallback past the exact-key
-// envelope.
+// config.Compare order the materializing engine emitted. That engine
+// (connectedMap below) remains as the fallback past the exact-key
+// envelope and as the relaxed-connectivity growth loop; the
+// differential reference for both is the string-keyed enumeration in
+// the test-only internal/oracle package.
 package enumerate
 
 import (
@@ -107,23 +108,9 @@ func Count(n int) int {
 	return countKeys(n, 0)
 }
 
-// ConnectedLegacy is the previous materializing engine: the growth
-// loop stores a config.Config per pattern per generation and sorts
-// with sort.Slice over configs. It is retained as the differential
-// reference for the key-native path — the equivalence tests and the
-// E20 before/after benchmark run both engines — and as the fallback
-// past the exact-key envelope.
-func ConnectedLegacy(n int) []config.Config {
-	checkSize(n)
-	if n == 0 {
-		return nil
-	}
-	return connectedMap(n).sorted()
-}
-
 // connectedMap grows the connected patterns of size n serially on the
-// legacy materializing loop; ConnectedLegacy, the relaxed-connectivity
-// spaces (relaxed.go), and the past-envelope fallbacks run on it.
+// materializing loop; the relaxed-connectivity spaces (relaxed.go) and
+// the past-envelope fallbacks run on it.
 func connectedMap(n int) *patternMap {
 	checkSize(n)
 	current := seedPatterns()

@@ -11,7 +11,7 @@ import (
 	"repro/internal/grid"
 )
 
-// This file is the key-native enumeration engine. The legacy growth
+// This file is the key-native enumeration engine. The materializing growth
 // loop (enumerate.go) stores a materialized config.Config per pattern
 // per generation — a slice allocation each, gigabytes of map at n ≥ 11
 // — and merges its parallel workers' partial maps serially. Here a
@@ -21,7 +21,7 @@ import (
 // striping idiom), and a configuration is rebuilt from its key
 // (config.FromKey128) only when a caller visits it. The canonical
 // output order is ascending key order — order "key/v1" in
-// sweep.SpecDesc terms — which coincides exactly with the legacy
+// sweep.SpecDesc terms — which coincides exactly with the
 // config.Compare order: for same-n normalized patterns the key is the
 // fixed-width concatenation of the node deltas in node order, so
 // integer comparison of keys IS lexicographic comparison of node
@@ -31,7 +31,7 @@ import (
 // MaxKeyN is the largest robot count the key-native engine covers:
 // every connected pattern through config.MaxKeyNodes nodes is exactly
 // Key128-encodable (spread ≤ n−1). Larger sizes — far past any
-// tractable enumeration — fall back to the legacy engine.
+// tractable enumeration — fall back to the materializing engine.
 const MaxKeyN = config.MaxKeyNodes
 
 // Stats describes one enumeration run of the key-native engine — the

@@ -6,13 +6,14 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/grid"
+	"repro/internal/oracle"
 )
 
 // TestKeyNativeMatchesLegacy is the source-order contract of the
 // key-native engine: for every size the paper's workloads sweep, the
-// key-native path must reproduce the legacy materializing engine's
-// output byte-identically — same patterns, same canonical order — at
-// every worker count. "key/v1" order and config.Compare order are the
+// key-native path must reproduce the string-keyed reference
+// enumeration (internal/oracle) byte-identically — same patterns, same
+// canonical order — at every worker count. "key/v1" order and config.Compare order are the
 // same order; this is the test that pins it.
 func TestKeyNativeMatchesLegacy(t *testing.T) {
 	top := 8
@@ -20,11 +21,11 @@ func TestKeyNativeMatchesLegacy(t *testing.T) {
 		top = 7
 	}
 	for n := 0; n <= top; n++ {
-		want := ConnectedLegacy(n)
+		want := oracle.Connected(n)
 		for _, workers := range []int{1, 4, 8} {
 			got := ConnectedParallel(n, workers)
 			if len(got) != len(want) {
-				t.Fatalf("n=%d workers=%d: %d patterns, legacy %d", n, workers, len(got), len(want))
+				t.Fatalf("n=%d workers=%d: %d patterns, reference %d", n, workers, len(got), len(want))
 			}
 			for i := range got {
 				if got[i].Compare(want[i]) != 0 {
@@ -34,18 +35,18 @@ func TestKeyNativeMatchesLegacy(t *testing.T) {
 			}
 		}
 		if got := Connected(n); len(got) != len(want) {
-			t.Fatalf("n=%d: Connected returned %d patterns, legacy %d", n, len(got), len(want))
+			t.Fatalf("n=%d: Connected returned %d patterns, reference %d", n, len(got), len(want))
 		}
 	}
 }
 
 // TestKeysSortedCanonically pins the key list itself: ascending
 // "key/v1" order with no duplicates, decoding index-by-index to the
-// legacy output.
+// reference output.
 func TestKeysSortedCanonically(t *testing.T) {
 	for n := 1; n <= 7; n++ {
 		keys := Keys(n)
-		want := ConnectedLegacy(n)
+		want := oracle.Connected(n)
 		if len(keys) != len(want) {
 			t.Fatalf("n=%d: %d keys, want %d", n, len(keys), len(want))
 		}
@@ -58,7 +59,7 @@ func TestKeysSortedCanonically(t *testing.T) {
 				t.Fatalf("n=%d key %d: %v", n, i, err)
 			}
 			if c.Compare(want[i]) != 0 {
-				t.Fatalf("n=%d: key %d decodes to %s, legacy has %s", n, i, c.Key(), want[i].Key())
+				t.Fatalf("n=%d: key %d decodes to %s, reference has %s", n, i, c.Key(), want[i].Key())
 			}
 		}
 	}
@@ -74,7 +75,7 @@ func TestFromKeyRoundTripExhaustive(t *testing.T) {
 		top = 7
 	}
 	for n := 1; n <= top; n++ {
-		for _, c := range ConnectedLegacy(n) {
+		for _, c := range oracle.Connected(n) {
 			k128, ok := c.Key128()
 			if !ok {
 				t.Fatalf("n=%d: pattern %s not Key128-exact", n, c.Key())
@@ -204,7 +205,6 @@ func TestNegativeSizePanics(t *testing.T) {
 	calls := map[string]func(){
 		"Connected":         func() { Connected(-1) },
 		"ConnectedParallel": func() { ConnectedParallel(-1, 2) },
-		"ConnectedLegacy":   func() { ConnectedLegacy(-1) },
 		"Count":             func() { Count(-1) },
 		"Keys":              func() { Keys(-1) },
 		"Each":              func() { Each(-1, nil) },

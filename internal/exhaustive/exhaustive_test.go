@@ -1,13 +1,34 @@
-package exhaustive
+// Package exhaustive_test holds the paper's Theorem 2 evaluation as
+// tests: the gathering algorithm run from every connected initial
+// configuration of n robots ("3652 patterns in total" for n = 7) under
+// the FSYNC scheduler, through the sweep engine (internal/sweep), plus
+// the ablations and baselines that show what each part of the
+// construction buys. The directory holds tests only; sweeps are
+// sweep.Run calls.
+package exhaustive_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/enumerate"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
+
+// verify runs the FSYNC sweep of every connected n-robot pattern (the
+// Spec defaults: n = 7, FSYNC, GOMAXPROCS workers) with cases retained.
+func verify(t *testing.T, spec sweep.Spec) *sweep.Report {
+	t.Helper()
+	spec.KeepCases = true
+	rep, err := sweep.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // TestExhaustiveGathering is experiment E2, the paper's Theorem 2: the
 // proposed algorithm gathers, collision-free, from all 3652 connected
@@ -16,7 +37,7 @@ func TestExhaustiveGathering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep skipped in -short mode")
 	}
-	report := Verify(core.Gatherer{}, Options{})
+	report := verify(t, sweep.Spec{})
 	if report.Total != 3652 {
 		t.Fatalf("enumerated %d initial configurations, want 3652", report.Total)
 	}
@@ -36,22 +57,22 @@ func TestAblationVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweeps skipped in -short mode")
 	}
-	full := Verify(core.Gatherer{}, Options{})
+	full := verify(t, sweep.Spec{})
 	if !full.AllGathered() {
 		t.Fatalf("full variant: %s", full)
 	}
-	noTable := Verify(core.Gatherer{Variant: core.VariantNoTable}, Options{})
+	noTable := verify(t, sweep.Spec{Alg: core.Gatherer{Variant: core.VariantNoTable}})
 	if noTable.AllGathered() {
 		t.Errorf("no-table variant unexpectedly gathered everything: %s", noTable)
 	}
 	if noTable.ByStatus[sim.Collision] != 0 || noTable.ByStatus[sim.Disconnected] != 0 {
 		t.Errorf("no-table variant must fail only by stalling: %s", noTable)
 	}
-	noRec := Verify(core.Gatherer{Variant: core.VariantNoReconstruction}, Options{})
+	noRec := verify(t, sweep.Spec{Alg: core.Gatherer{Variant: core.VariantNoReconstruction}})
 	if noRec.Gathered() > noTable.Gathered() {
 		t.Errorf("dropping hole-filling should not help: %s vs %s", noRec, noTable)
 	}
-	paper := Verify(core.Gatherer{Variant: core.VariantPaper}, Options{})
+	paper := verify(t, sweep.Spec{Alg: core.Gatherer{Variant: core.VariantPaper}})
 	if paper.AllGathered() {
 		t.Errorf("bare transcription unexpectedly gathered everything: %s", paper)
 	}
@@ -64,8 +85,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweeps skipped in -short mode")
 	}
-	a := Verify(core.Gatherer{}, Options{Workers: 1})
-	b := Verify(core.Gatherer{}, Options{Workers: 8})
+	a := verify(t, sweep.Spec{Workers: 1})
+	b := verify(t, sweep.Spec{Workers: 8})
 	if a.Gathered() != b.Gathered() || a.MaxRounds != b.MaxRounds || a.MaxMoves != b.MaxMoves {
 		t.Fatalf("worker count changed results: %s vs %s", a, b)
 	}
@@ -82,12 +103,12 @@ func TestBaselinesFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweeps skipped in -short mode")
 	}
-	idle := Verify(core.Idle{}, Options{})
+	idle := verify(t, sweep.Spec{Alg: core.Idle{}})
 	if got := idle.Gathered(); got != 1 {
 		// Exactly one initial configuration is already the hexagon.
 		t.Errorf("idle baseline gathered %d, want 1", got)
 	}
-	greedy := Verify(core.GreedyEast{}, Options{})
+	greedy := verify(t, sweep.Spec{Alg: core.GreedyEast{}})
 	if greedy.AllGathered() {
 		t.Error("greedy baseline unexpectedly solved gathering")
 	}
@@ -104,7 +125,7 @@ func TestRoundsByDiameter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep skipped in -short mode")
 	}
-	report := Verify(core.Gatherer{}, Options{})
+	report := verify(t, sweep.Spec{})
 	stats := report.RoundsByDiameter()
 	if len(stats) == 0 {
 		t.Fatal("no diameter buckets")
@@ -124,22 +145,6 @@ func TestRoundsByDiameter(t *testing.T) {
 	}
 	if stats[0].MaxRounds != 0 {
 		t.Errorf("hexagon bucket should include the 0-round run; max=%d", stats[0].MaxRounds)
-	}
-}
-
-func BenchmarkExhaustiveVerify(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if !Verify(core.Gatherer{}, Options{}).AllGathered() {
-			b.Fatal("verification failed")
-		}
-	}
-}
-
-func BenchmarkExhaustiveVerifySerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if !Verify(core.Gatherer{}, Options{Workers: 1}).AllGathered() {
-			b.Fatal("verification failed")
-		}
 	}
 }
 
@@ -176,7 +181,7 @@ func TestRelaxedConnectivityE9(t *testing.T) {
 // its known 16689 patterns with every run classified (no round-limit
 // escapes) — the E11 open-problem map in miniature.
 func TestVerifyOtherRobotCounts(t *testing.T) {
-	three := Verify(core.ThreeGatherer{}, Options{Robots: 3})
+	three := verify(t, sweep.Spec{N: 3, Alg: core.ThreeGatherer{}})
 	if three.Total != enumerate.KnownCounts[3] {
 		t.Fatalf("n=3: enumerated %d patterns, want %d", three.Total, enumerate.KnownCounts[3])
 	}
@@ -186,7 +191,7 @@ func TestVerifyOtherRobotCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 16689-pattern n=8 sweep in -short mode")
 	}
-	eight := Verify(core.Gatherer{}, Options{Robots: 8})
+	eight := verify(t, sweep.Spec{N: 8})
 	if eight.Total != enumerate.KnownCounts[8] {
 		t.Fatalf("n=8: enumerated %d patterns, want %d", eight.Total, enumerate.KnownCounts[8])
 	}

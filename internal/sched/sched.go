@@ -234,7 +234,7 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 			moving[i] = false
 		}
 		for _, i := range active {
-			if m := k.MoveAt(cur, robots, robots[i]); m.IsMove() {
+			if m := k.MoveAt(robots, robots[i]); m.IsMove() {
 				targets[i] = m.Apply(robots[i])
 				moving[i] = true
 				moved++

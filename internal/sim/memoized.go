@@ -2,14 +2,12 @@ package sim
 
 import (
 	"repro/internal/config"
-	"repro/internal/grid"
 	"repro/internal/memo"
-	"repro/internal/step"
 )
 
-// This file is the memoized configuration-graph walk: the packed FSYNC
-// loop of packed.go, cut short at the first state whose outcome the
-// shared store (Options.Outcomes) already knows, with the walked
+// This file is the memoized branch of the run loop: the configuration-
+// graph walk, cut short at the first state whose outcome the shared
+// store (Options.Outcomes) already knows, with the walked
 // suffix published backwards along the step.Successor edges when the
 // walk reaches a terminal fact itself. FSYNC dynamics are
 // deterministic, so a run's outcome — status, rounds remaining, moves
@@ -18,8 +16,8 @@ import (
 // across a sweep every shared suffix is paid for exactly once and a
 // sweep becomes one deduplicated traversal of the configuration graph.
 //
-// Equivalence to the direct loop (Status, Rounds, Moves — the tests in
-// memoized_test.go and the sweep-level equivalence tests check it
+// Equivalence to the unmemoized run (Status, Rounds, Moves — the tests
+// in memoized_test.go and the sweep-level equivalence tests check it
 // exhaustively) rests on three guards:
 //
 //  1. Budget: a memoized outcome describes the unbounded run. When
@@ -68,105 +66,22 @@ type pathState struct {
 	moves int
 }
 
-// runMemoized executes the memoized walk. Preconditions (enforced by
-// Run's routing): packable kernel, DetectCycles, StopOnDisconnect, no
-// RecordTrace, non-nil opts.Outcomes.
-func runMemoized(k step.Kernel, initial config.Config, opts Options) Result {
-	st := opts.Outcomes
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
+// closeCycle publishes the livelock the walk found on its own
+// trajectory: the state keyed key, reached after moves robot steps,
+// repeats the path state at t0, so path[t0:] are the cycle's states.
+func closeCycle(st *memo.Outcomes, path []pathState, key memo.Key, moves int) {
+	t0 := 0
+	for path[t0].key != key {
+		t0++
 	}
-	goal := opts.Goal
-	if goal == nil {
-		goal = config.GoalFor(initial.Len())
+	ci := &memo.CycleInfo{
+		Len: int32(len(path) - t0), RawLen: int32(len(path) - t0),
+		Moves: int32(moves - path[t0].moves), Members: make(map[memo.Key]struct{}, len(path)-t0),
 	}
-
-	n := initial.Len()
-	cur := initial.AppendNodes(make([]grid.Coord, 0, n))
-
-	// Everything below is lazily allocated: on a warm store the very
-	// first Load hit splices the whole run, and the fast path then
-	// costs one key and one shard probe — no scratch buffers, no
-	// trajectory map. That steady state is what a repeated sweep over
-	// a shared store (the E11/E15 benches) actually measures.
-	var (
-		next    []grid.Coord
-		targets []grid.Coord
-		moving  []bool
-		pathIdx map[memo.Key]int // own-trajectory index, nil until round 1
-	)
-
-	curCfg := initial
-	key := memo.KeyOf(cur)
-	path := make([]pathState, 0, 8)
-	movesSoFar := 0
-
-	for {
-		p := len(path) // rounds consumed reaching cur
-		path = append(path, pathState{key: key, cfg: curCfg, moves: movesSoFar})
-		if pathIdx != nil {
-			pathIdx[key] = p
-		}
-
-		if p == maxRounds {
-			return Result{Status: RoundLimit, Rounds: p, Moves: movesSoFar, Final: curCfg}
-		}
-		if out, ok := st.Load(key); ok {
-			if res, spliced := splice(st, out, path, maxRounds); spliced {
-				return res
-			}
-		}
-
-		if targets == nil {
-			next = make([]grid.Coord, 0, n)
-			targets = make([]grid.Coord, n)
-			moving = make([]bool, n)
-		}
-		nxt, moved, coll := k.Round(cur, targets[:len(cur)], moving[:len(cur)], next[:0])
-		if coll != nil {
-			backfill(st, path, 0, 0, memo.Outcome{Status: uint8(Collision), Final: curCfg, Collision: coll})
-			return Result{Status: Collision, Rounds: p, Moves: movesSoFar, Final: curCfg, Collision: coll}
-		}
-		if moved == 0 {
-			status := Stalled
-			if goal(curCfg) {
-				status = Gathered
-			}
-			backfill(st, path, 0, 0, memo.Outcome{Status: uint8(status), Final: curCfg})
-			return Result{Status: status, Rounds: p, Moves: movesSoFar, Final: curCfg}
-		}
-		movesSoFar += moved
-		cur, next = nxt, cur
-		curCfg = config.New(cur...)
-		if !step.Connected(cur) {
-			// The disconnected state itself gets no outcome: a run
-			// starting there would step before noticing the split,
-			// which is a different fact from "ends here, disconnected".
-			backfill(st, path, 1, movesSoFar-path[p].moves, memo.Outcome{Status: uint8(Disconnected), Final: curCfg})
-			return Result{Status: Disconnected, Rounds: p + 1, Moves: movesSoFar, Final: curCfg}
-		}
-		key = memo.KeyOf(cur)
-		if pathIdx == nil {
-			pathIdx = make(map[memo.Key]int, 32)
-			for i := range path {
-				pathIdx[path[i].key] = i
-			}
-		}
-		if t0, on := pathIdx[key]; on {
-			// The walk closed its own cycle: path[t0:] are its states.
-			lap := movesSoFar - path[t0].moves
-			ci := &memo.CycleInfo{
-				Len: int32(len(path) - t0), RawLen: int32(len(path) - t0),
-				Moves: int32(lap), Members: make(map[memo.Key]struct{}, len(path)-t0),
-			}
-			for _, ps := range path[t0:] {
-				ci.Members[ps.key] = struct{}{}
-			}
-			publishCycle(st, path, t0, ci)
-			return Result{Status: Livelock, Rounds: p + 1, Moves: movesSoFar, Final: curCfg}
-		}
+	for _, ps := range path[t0:] {
+		ci.Members[ps.key] = struct{}{}
 	}
+	publishCycle(st, path, t0, ci)
 }
 
 // splice tries to end the walk at a memoized outcome for the last path

@@ -12,7 +12,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/memo"
 	"repro/internal/step"
-	"repro/internal/vision"
 )
 
 // Status classifies the outcome of a run.
@@ -145,12 +144,11 @@ type Options struct {
 	// E10 and E11). Explicit goals override, e.g. an experiment pinning
 	// a specific target shape.
 	Goal func(config.Config) bool
-	// CycleSet, when non-nil, is the pattern set the packed path uses
-	// for cycle detection; Run resets it before use, so one set can be
-	// pooled across many runs (exhaustive.Verify keeps one per worker —
-	// the cycle-set maps were the largest remaining per-run allocation).
-	// It is ignored when DetectCycles is false, and by the legacy
-	// reference path, which keeps its own string-keyed map.
+	// CycleSet, when non-nil, is the pattern set the run uses for cycle
+	// detection; Run resets it before use, so one set can be pooled
+	// across many runs (every sweep worker keeps one — the cycle-set
+	// maps were the largest remaining per-run allocation). It is
+	// ignored when DetectCycles is false.
 	CycleSet *config.PatternSet
 	// Outcomes, when non-nil, is the shared configuration→outcome
 	// store (internal/memo): FSYNC dynamics are deterministic, so a
@@ -159,9 +157,9 @@ type Options struct {
 	// first state whose outcome is already known — with the walked
 	// suffix published backwards along the step.Successor edges for
 	// every later run (of the same sweep, or any sweep sharing the
-	// store) to reuse. Engaged only on the packed fast path with
-	// DetectCycles and StopOnDisconnect set and RecordTrace off — the
-	// standard sweep options — and ignored otherwise.
+	// store) to reuse. Engaged only with DetectCycles and
+	// StopOnDisconnect set and RecordTrace off — the standard sweep
+	// options — and ignored otherwise.
 	//
 	// Status, Rounds and Moves are bit-identical to the unmemoized
 	// run. Final and Collision may come from a translated
@@ -182,140 +180,182 @@ type Options struct {
 // far beyond any legitimate run.
 const DefaultMaxRounds = 10000
 
+// stackRobots is the largest robot count whose round scratch Run keeps
+// on the stack; larger configurations allocate it.
+const stackRobots = 16
+
 // Run executes alg from the initial configuration under FSYNC until the
 // system gathers, fails, or exhausts the round budget.
 //
-// Algorithms that implement core.PackedAlgorithm at a packable range run
-// on the allocation-free fast path (see packed.go); results are
-// identical either way.
+// There is one run loop. It holds the configuration as a reused sorted
+// slice and drives every round through the shared transition kernel
+// (internal/step): packed views, moves through the algorithm's memo
+// table, collision and disconnection checks by index scans, cycle
+// detection in a pattern set — so a steady-state round allocates
+// nothing. Memoization is the one branch: with Options.Outcomes set
+// (and the standard sweep options) the loop also keeps its trajectory,
+// consults the store before every round, and publishes what it walked
+// (memoized.go). The test-only internal/oracle package holds the
+// independent map/string reference this loop must match result for
+// result.
 func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
-	if _, ok := alg.(core.PackedAlgorithm); ok && alg.VisibilityRange() <= vision.MaxPackedRange {
-		if opts.Outcomes != nil && opts.DetectCycles && opts.StopOnDisconnect && !opts.RecordTrace {
-			return runMemoized(step.New(alg), initial, opts)
-		}
-		return runPacked(step.New(alg), initial, opts)
-	}
-	return runLegacy(alg, initial, opts)
-}
-
-// runLegacy is the map-based reference loop; the packed path must match
-// it result-for-result.
-func runLegacy(alg core.Algorithm, initial config.Config, opts Options) Result {
+	k := step.New(alg)
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
-	}
-	cur := initial
-	res := Result{Final: cur}
-	if opts.RecordTrace {
-		res.Trace = append(res.Trace, cur)
-	}
-	var seen map[string]bool
-	if opts.DetectCycles {
-		seen = map[string]bool{cur.Key(): true}
 	}
 	goal := opts.Goal
 	if goal == nil {
 		goal = config.GoalFor(initial.Len())
 	}
-	for round := 0; round < maxRounds; round++ {
-		next, moved, coll := Step(alg, cur)
+	st := opts.Outcomes
+	if !opts.DetectCycles || !opts.StopOnDisconnect || opts.RecordTrace {
+		st = nil // outcomes describe standard runs; a splice cannot rebuild a trace
+	}
+	var res Result
+	if opts.RecordTrace {
+		res.Trace = append(res.Trace, initial)
+	}
+
+	// Runs of up to stackRobots robots keep the round scratch on the
+	// stack: a sweep makes one Run per pattern, and these buffers were
+	// most of its garbage.
+	var stack struct {
+		cur, next, targets [stackRobots]grid.Coord
+		moving             [stackRobots]bool
+	}
+	n := initial.Len()
+	var cur []grid.Coord
+	if n <= stackRobots {
+		cur = initial.AppendNodes(stack.cur[:0])
+	} else {
+		cur = initial.AppendNodes(make([]grid.Coord, 0, n))
+	}
+	// curCfg is cur as a Config when the memo or the trace needs one
+	// every round, and the zero Config otherwise (built only at the end).
+	// Outside the memo it never starts as initial: a caller's Config may
+	// be a window into a large slab (enumerate materializes whole
+	// pattern lists in one), and a Final aliasing it would keep the
+	// whole slab alive for as long as the Result lives.
+	var curCfg config.Config
+	if st != nil {
+		curCfg = initial
+	}
+	// The round scratch and the cycle set start at the first executed
+	// round: on a warm store the initial state's Load splices the whole
+	// run, which then costs one key and one shard probe.
+	var (
+		next, targets []grid.Coord
+		moving        []bool
+		seen          *config.PatternSet
+		key           memo.Key
+	)
+	path := make([]pathState, 0, 8) // memoized runs: the walk's own trajectory
+	if st != nil {
+		key = memo.KeyOf(cur)
+	}
+	moves := 0
+	for p := 0; ; p++ { // p: rounds executed so far
+		if p == maxRounds {
+			res.Status, res.Rounds, res.Moves, res.Final = RoundLimit, p, moves, configOf(curCfg, cur)
+			return res
+		}
+		if st != nil {
+			path = append(path, pathState{key: key, cfg: curCfg, moves: moves})
+			if out, ok := st.Load(key); ok {
+				if r, spliced := splice(st, out, path, maxRounds); spliced {
+					return r
+				}
+			}
+		}
+		if targets == nil { // robot count never grows, so n suffices
+			if n <= stackRobots {
+				next, targets, moving = stack.next[:0], stack.targets[:n], stack.moving[:n]
+			} else {
+				next, targets, moving = make([]grid.Coord, 0, n), make([]grid.Coord, n), make([]bool, n)
+			}
+			if opts.DetectCycles {
+				if seen = opts.CycleSet; seen != nil {
+					seen.Reset()
+				} else {
+					seen = new(config.PatternSet)
+				}
+				seen.AddNodes(cur)
+			}
+		}
+		nxt, moved, coll := k.Round(cur, targets[:len(cur)], moving[:len(cur)], next[:0])
 		if coll != nil {
-			res.Status = Collision
-			res.Collision = coll
-			res.Final = cur
+			fin := configOf(curCfg, cur)
+			if st != nil {
+				backfill(st, path, 0, 0, memo.Outcome{Status: uint8(Collision), Final: fin, Collision: coll})
+			}
+			res.Status, res.Rounds, res.Moves, res.Final, res.Collision = Collision, p, moves, fin, coll
 			return res
 		}
 		if moved == 0 {
-			if goal(cur) {
-				res.Status = Gathered
-			} else {
-				res.Status = Stalled
+			fin := configOf(curCfg, cur)
+			status := Stalled
+			if goal(fin) {
+				status = Gathered
 			}
-			res.Final = cur
+			if st != nil {
+				backfill(st, path, 0, 0, memo.Outcome{Status: uint8(status), Final: fin})
+			}
+			res.Status, res.Rounds, res.Moves, res.Final = status, p, moves, fin
 			return res
 		}
-		res.Rounds++
-		res.Moves += moved
-		cur = next
-		res.Final = cur
+		moves += moved
+		cur, next = nxt, cur
+		curCfg = config.Config{}
+		if st != nil || opts.RecordTrace {
+			curCfg = config.New(cur...)
+		}
 		if opts.RecordTrace {
-			res.Trace = append(res.Trace, cur)
+			res.Trace = append(res.Trace, curCfg)
 		}
-		if opts.StopOnDisconnect && !cur.Connected() {
-			res.Status = Disconnected
+		if opts.StopOnDisconnect && !step.Connected(cur) {
+			fin := configOf(curCfg, cur)
+			if st != nil {
+				// The disconnected state itself gets no outcome: a run
+				// starting there would step before noticing the split,
+				// which is a different fact from "ends here, disconnected".
+				backfill(st, path, 1, moves-path[p].moves, memo.Outcome{Status: uint8(Disconnected), Final: fin})
+			}
+			res.Status, res.Rounds, res.Moves, res.Final = Disconnected, p+1, moves, fin
 			return res
 		}
-		if opts.DetectCycles {
-			k := cur.Key()
-			if seen[k] {
-				res.Status = Livelock
-				return res
+		if st != nil {
+			key = memo.KeyOf(cur)
+		}
+		if opts.DetectCycles && !seen.AddNodes(cur) {
+			if st != nil {
+				closeCycle(st, path, key, moves)
 			}
-			seen[k] = true
+			res.Status, res.Rounds, res.Moves, res.Final = Livelock, p+1, moves, configOf(curCfg, cur)
+			return res
 		}
 	}
-	res.Status = RoundLimit
-	return res
 }
 
-// Step executes one FSYNC round: every robot Looks, Computes and Moves
-// simultaneously. It returns the next configuration, the number of robots
-// that moved, and the first collision found (nil if the round is legal).
-// On collision the returned configuration is the unchanged input.
-func Step(alg core.Algorithm, cur config.Config) (config.Config, int, *CollisionInfo) {
-	robots := cur.Nodes()
-	targets := make([]grid.Coord, len(robots))
-	moving := make([]bool, len(robots))
-	moved := 0
-	for i, pos := range robots {
-		m := alg.Compute(vision.Look(cur, pos, alg.VisibilityRange()))
-		targets[i] = m.Apply(pos)
-		moving[i] = m.IsMove()
-		if moving[i] {
-			moved++
-		}
+// configOf returns cfg, or builds the Config of the sorted nodes when
+// cfg is the zero Config (the loop did not keep one).
+func configOf(cfg config.Config, nodes []grid.Coord) config.Config {
+	if cfg.Len() == 0 {
+		return config.New(nodes...)
 	}
-	if coll := DetectCollision(robots, targets, moving); coll != nil {
+	return cfg
+}
+
+// Step executes one FSYNC round through the kernel: every robot Looks,
+// Computes and Moves simultaneously. It returns the next configuration,
+// the number of robots that moved, and the first collision found (nil
+// if the round is legal). On collision, and when nobody moves, the
+// returned configuration is the unchanged input.
+func Step(alg core.Algorithm, cur config.Config) (config.Config, int, *CollisionInfo) {
+	nodes := cur.Nodes()
+	next, moved, coll := step.New(alg).Round(nodes, make([]grid.Coord, len(nodes)), make([]bool, len(nodes)), nil)
+	if coll != nil || moved == 0 {
 		return cur, 0, coll
 	}
-	return config.New(targets...), moved, nil
-}
-
-// DetectCollision applies the three rules of §II-A to a simultaneous move
-// vector: robots[i] moves to targets[i] iff moving[i]. It returns the
-// first violation found, or nil. Exported for the alternative schedulers
-// (internal/sched), which must enforce the same rules.
-func DetectCollision(robots, targets []grid.Coord, moving []bool) *CollisionInfo {
-	pos := make(map[grid.Coord]int, len(robots))
-	for i, p := range robots {
-		pos[p] = i
-	}
-	targetCount := make(map[grid.Coord]int, len(robots))
-	for i, t := range targets {
-		if moving[i] {
-			targetCount[t]++
-		}
-	}
-	for i := range robots {
-		if !moving[i] {
-			continue
-		}
-		t := targets[i]
-		if j, occupied := pos[t]; occupied {
-			if !moving[j] {
-				// Rule (b): moving onto a robot that stays.
-				return &CollisionInfo{Kind: OntoStationary, Node: t}
-			}
-			if targets[j] == robots[i] {
-				// Rule (a): the two robots swap along one edge.
-				return &CollisionInfo{Kind: Swap, Node: t}
-			}
-		}
-		if targetCount[t] > 1 {
-			// Rule (c): several robots move onto the same node.
-			return &CollisionInfo{Kind: Merge, Node: t}
-		}
-	}
-	return nil
+	return config.New(next...), moved, nil
 }

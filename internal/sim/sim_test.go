@@ -91,63 +91,6 @@ func TestRoundLimit(t *testing.T) {
 	}
 }
 
-func TestDetectCollisionRules(t *testing.T) {
-	a := grid.Origin
-	b := grid.Coord{Q: 1, R: 0}
-	c := grid.Coord{Q: 2, R: 0}
-
-	// Rule (a): swap.
-	coll := DetectCollision(
-		[]grid.Coord{a, b},
-		[]grid.Coord{b, a},
-		[]bool{true, true},
-	)
-	if coll == nil || coll.Kind != Swap {
-		t.Errorf("swap not detected: %+v", coll)
-	}
-
-	// Rule (b): onto stationary.
-	coll = DetectCollision(
-		[]grid.Coord{a, b},
-		[]grid.Coord{b, b},
-		[]bool{true, false},
-	)
-	if coll == nil || coll.Kind != OntoStationary {
-		t.Errorf("onto-stationary not detected: %+v", coll)
-	}
-
-	// Rule (c): merge of two movers on an empty node.
-	coll = DetectCollision(
-		[]grid.Coord{a, c},
-		[]grid.Coord{b, b},
-		[]bool{true, true},
-	)
-	if coll == nil || coll.Kind != Merge {
-		t.Errorf("merge not detected: %+v", coll)
-	}
-
-	// Legal: follow-the-leader along one axis.
-	coll = DetectCollision(
-		[]grid.Coord{a, b},
-		[]grid.Coord{b, c},
-		[]bool{true, true},
-	)
-	if coll != nil {
-		t.Errorf("legal convoy flagged: %+v", coll)
-	}
-
-	// Legal: moving into a node its occupant vacates sideways.
-	d := grid.Coord{Q: 1, R: 1}
-	coll = DetectCollision(
-		[]grid.Coord{a, b},
-		[]grid.Coord{b, d},
-		[]bool{true, true},
-	)
-	if coll != nil {
-		t.Errorf("legal vacate-and-enter flagged: %+v", coll)
-	}
-}
-
 func TestStatusStrings(t *testing.T) {
 	want := map[Status]string{
 		Gathered: "gathered", Stalled: "stalled", Livelock: "livelock",

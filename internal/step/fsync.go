@@ -1,9 +1,6 @@
 package step
 
-import (
-	"repro/internal/config"
-	"repro/internal/grid"
-)
+import "repro/internal/grid"
 
 // Round executes one full-activation (FSYNC) round from the sorted
 // node set: every robot Looks, Computes and Moves simultaneously — the
@@ -19,20 +16,14 @@ import (
 //   - (next, movers, nil) otherwise, with the successor node set —
 //     sorted, deduplicated — appended to dst.
 //
-// It is the one FSYNC transition shared by the round loop
-// (internal/sim.runPacked) and the memoized configuration-graph walk
-// (internal/sim.runMemoized): outcome propagation along Successor
-// edges memoizes exactly the transitions this function takes. Packable
-// kernels run it allocation-free; unpacked kernels pay one Config
-// construction per round for the map-based views.
+// It is the one FSYNC transition of internal/sim's run loop, memoized
+// or not: outcome propagation along Successor edges memoizes exactly
+// the transitions this function takes. Kernels over packed algorithms
+// run it allocation-free.
 func (k Kernel) Round(nodes, targets []grid.Coord, moving []bool, dst []grid.Coord) ([]grid.Coord, int, *CollisionInfo) {
-	var cfg config.Config
-	if !k.packable {
-		cfg = config.New(nodes...)
-	}
 	movers := 0
 	for i, pos := range nodes {
-		if m := k.MoveAt(cfg, nodes, pos); m.IsMove() {
+		if m := k.MoveAt(nodes, pos); m.IsMove() {
 			targets[i] = pos.Step(m.Direction())
 			moving[i] = true
 			movers++

@@ -8,16 +8,17 @@
 // deterministic step: each activated robot Looks, Computes and Moves at
 // once, the rest keep their positions (FSYNC is the choice "everyone").
 // Before the kernel existed, that step was reimplemented three times —
-// sim.runPacked, sched.Run, and adversary's expand/applySubset — each
-// with its own copy of the packed-view fast path, the §II-A collision
+// the FSYNC round loop, sched.Run, and adversary's expand/applySubset —
+// each with its own copy of the packed-view fast path, the §II-A collision
 // rules, the disconnection check and the sorted-slice bookkeeping. The
 // kernel is the one place all of it lives now:
 //
-//   - Kernel binds an algorithm to the look→compute machinery: the
-//     memoized bitmask fast path when the algorithm implements
-//     core.PackedAlgorithm at a packable range, the map-based View
-//     otherwise. MoveAt decides one robot; Moves fills the whole
-//     per-round decision vector and reports the movers.
+//   - Kernel binds an algorithm to the look→compute machinery: every
+//     Look is a packed bitmask view taken straight from the sorted node
+//     slice; algorithms that implement core.PackedAlgorithm decide from
+//     it through their memo tables, the rest from its unpacked View.
+//     MoveAt decides one robot; Moves fills the whole per-round
+//     decision vector and reports the movers.
 //   - DetectCollision applies the three collision rules of §II-A to a
 //     simultaneous move vector over a sorted robot slice, allocation-
 //     free (binary searches instead of maps).
@@ -30,10 +31,10 @@
 //
 // Everything operates on sorted node slices (the config.Config
 // invariant: ascending by Q, then R) with caller-owned scratch, so the
-// hot loops of all three layers stay allocation-free. The legacy
-// map/string loop in internal/sim remains, deliberately, as the
-// independent reference implementation the equivalence tests compare
-// against; the kernel is the one production implementation.
+// hot loops of all three layers stay allocation-free. The kernel is the
+// one production implementation of the dynamics; the independent
+// map/string reference the equivalence tests compare it against lives
+// in the test-only internal/oracle package.
 package step
 
 import (
@@ -128,56 +129,55 @@ type CollisionInfo struct {
 	Node grid.Coord
 }
 
-// Kernel binds one algorithm to the look→compute machinery: the
-// memoized packed-view fast path when the algorithm implements
-// core.PackedAlgorithm at a range vision can pack, the map-based View
-// otherwise. The zero value is not usable; build with New. A Kernel is
-// an immutable value — copy it freely, share it across goroutines.
+// Kernel binds one algorithm to the look→compute machinery. Every Look
+// is a vision.PackedView taken from the sorted node slice; algorithms
+// implementing core.PackedAlgorithm decide from it directly (their
+// memo tables make a decision a map probe), any other algorithm from
+// its unpacked View. The zero value is not usable; build with New. A
+// Kernel is an immutable value — copy it freely, share it across
+// goroutines.
 type Kernel struct {
 	alg      core.Algorithm
-	packed   core.PackedAlgorithm
-	packable bool
+	packed   core.PackedAlgorithm // nil: decide through Compute
 	visRange int
 }
 
 // New builds the kernel for an algorithm. A nil algorithm selects the
-// full Gatherer, mirroring every layer's historical default.
+// full Gatherer, mirroring every layer's historical default. It panics
+// on a visibility range past vision.MaxPackedRange: packed views are the
+// kernel's only Look, and the model's algorithms see at most 2 hops.
 func New(alg core.Algorithm) Kernel {
 	if alg == nil {
 		alg = core.Gatherer{}
 	}
 	k := Kernel{alg: alg, visRange: alg.VisibilityRange()}
-	if pa, ok := alg.(core.PackedAlgorithm); ok && k.visRange <= vision.MaxPackedRange {
-		k.packed, k.packable = pa, true
+	if k.visRange < 0 || k.visRange > vision.MaxPackedRange {
+		panic(fmt.Sprintf("step: %s: visibility range %d outside [0,%d]", alg.Name(), k.visRange, vision.MaxPackedRange))
 	}
+	k.packed, _ = alg.(core.PackedAlgorithm)
 	return k
 }
 
 // Algorithm returns the algorithm the kernel was built for.
 func (k Kernel) Algorithm() core.Algorithm { return k.alg }
 
-// Packable reports whether decisions ride the packed bitmask fast path.
-func (k Kernel) Packable() bool { return k.packable }
-
 // MoveAt is the single Look-Compute step of the dynamics: the decision
-// of the robot at pos within the sorted node slice. cfg is consulted
-// only on the unpacked path (packed callers may pass the zero Config);
-// nodes must be sorted by Q then R — the config.Config invariant.
-func (k Kernel) MoveAt(cfg config.Config, nodes []grid.Coord, pos grid.Coord) core.Move {
-	if k.packable {
-		pv, _ := vision.LookPackedSorted(nodes, pos, k.visRange) // range checked at construction
+// of the robot at pos within the sorted node slice. nodes must be
+// sorted by Q then R — the config.Config invariant.
+func (k Kernel) MoveAt(nodes []grid.Coord, pos grid.Coord) core.Move {
+	pv, _ := vision.LookPackedSorted(nodes, pos, k.visRange) // range checked at construction
+	if k.packed != nil {
 		return k.packed.ComputePacked(pv)
 	}
-	return k.alg.Compute(vision.Look(cfg, pos, k.visRange))
+	return k.alg.Compute(pv.Unpack())
 }
 
 // Moves fills the per-robot decision vector for one round — moves[i]
 // is robot i's Look-Compute result — and returns the number of movers.
-// moves must have length len(nodes); cfg is consulted only on the
-// unpacked path.
-func (k Kernel) Moves(cfg config.Config, nodes []grid.Coord, moves []core.Move) (movers int) {
+// moves must have length len(nodes).
+func (k Kernel) Moves(nodes []grid.Coord, moves []core.Move) (movers int) {
 	for i, pos := range nodes {
-		m := k.MoveAt(cfg, nodes, pos)
+		m := k.MoveAt(nodes, pos)
 		moves[i] = m
 		if m.IsMove() {
 			movers++
@@ -231,8 +231,8 @@ func Apply(nodes []grid.Coord, moves []core.Move, sub Mask, dst []grid.Coord) ([
 // DetectCollision applies the three rules of §II-A to a simultaneous
 // move vector over a sorted robot slice: robots[i] moves to targets[i]
 // iff moving[i]. It returns the first violation in robot order (same
-// iteration order, same rule precedence as the legacy map-based
-// reference in internal/sim), or nil; the maps are replaced by binary
+// iteration order, same rule precedence as the map-based reference in
+// internal/oracle), or nil; the maps are replaced by binary
 // searches and an O(n²) target scan — a win for the small n of every
 // workload here, and allocation-free.
 func DetectCollision(robots, targets []grid.Coord, moving []bool) *CollisionInfo {

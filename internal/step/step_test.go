@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumerate"
 	"repro/internal/grid"
-	"repro/internal/sim"
+	"repro/internal/oracle"
 	"repro/internal/step"
 	"repro/internal/vision"
 )
@@ -33,16 +33,14 @@ func TestMask(t *testing.T) {
 }
 
 // TestKernelMoveAtMatchesBothPaths: for every robot of a pattern
-// sample, the kernel's decision equals both the raw packed and the raw
-// map-based Compute — on the packed kernel and on a kernel whose
-// algorithm hides ComputePacked.
+// sample, the kernel's decision equals the map-based Compute over
+// vision.Look — on the kernel over the packed memo table and on a
+// kernel whose algorithm hides ComputePacked (decided through the
+// unpacked view).
 func TestKernelMoveAtMatchesBothPaths(t *testing.T) {
 	type legacyOnly struct{ core.Algorithm }
 	packed := step.New(core.Gatherer{})
 	legacy := step.New(legacyOnly{core.Gatherer{}})
-	if !packed.Packable() || legacy.Packable() {
-		t.Fatal("packability detection broken")
-	}
 	for i, c := range enumerate.Connected(6) {
 		if i%25 != 0 {
 			continue
@@ -50,10 +48,10 @@ func TestKernelMoveAtMatchesBothPaths(t *testing.T) {
 		nodes := c.Nodes()
 		for _, pos := range nodes {
 			want := core.Gatherer{}.Compute(vision.Look(c, pos, 2))
-			if got := packed.MoveAt(config.Config{}, nodes, pos); got != want {
+			if got := packed.MoveAt(nodes, pos); got != want {
 				t.Fatalf("packed MoveAt %v, want %v at %v of %s", got, want, pos, c.Key())
 			}
-			if got := legacy.MoveAt(c, nodes, pos); got != want {
+			if got := legacy.MoveAt(nodes, pos); got != want {
 				t.Fatalf("legacy MoveAt %v, want %v at %v of %s", got, want, pos, c.Key())
 			}
 		}
@@ -70,12 +68,12 @@ func TestMovesMatchesMoveAt(t *testing.T) {
 		}
 		nodes := c.Nodes()
 		moves := make([]core.Move, len(nodes))
-		movers := k.Moves(config.Config{}, nodes, moves)
+		movers := k.Moves(nodes, moves)
 		if movers != step.MoverMask(moves).Count() {
 			t.Fatalf("mover count %d vs mask %d on %s", movers, step.MoverMask(moves).Count(), c.Key())
 		}
 		for j, pos := range nodes {
-			if moves[j] != k.MoveAt(config.Config{}, nodes, pos) {
+			if moves[j] != k.MoveAt(nodes, pos) {
 				t.Fatalf("vector entry %d diverges from MoveAt on %s", j, c.Key())
 			}
 		}
@@ -84,7 +82,7 @@ func TestMovesMatchesMoveAt(t *testing.T) {
 
 // TestDetectCollisionMatchesLegacy cross-checks the kernel's sorted
 // binary-search detector against the map-based reference
-// (sim.DetectCollision) on every one-step move vector the greedy
+// (oracle.DetectCollision) on every one-step move vector the greedy
 // baseline produces over the n = 7 space — the algorithm that actually
 // collides.
 func TestDetectCollisionMatchesLegacy(t *testing.T) {
@@ -96,7 +94,7 @@ func TestDetectCollisionMatchesLegacy(t *testing.T) {
 		}
 		nodes := c.Nodes()
 		moves := make([]core.Move, len(nodes))
-		k.Moves(config.Config{}, nodes, moves)
+		k.Moves(nodes, moves)
 		targets := make([]grid.Coord, len(nodes))
 		moving := make([]bool, len(nodes))
 		for j, pos := range nodes {
@@ -104,7 +102,7 @@ func TestDetectCollisionMatchesLegacy(t *testing.T) {
 			moving[j] = moves[j].IsMove()
 		}
 		got := step.DetectCollision(nodes, targets, moving)
-		want := sim.DetectCollision(nodes, targets, moving)
+		want := oracle.DetectCollision(nodes, targets, moving)
 		if (got == nil) != (want == nil) {
 			t.Fatalf("%s: kernel %+v vs reference %+v", c.Key(), got, want)
 		}
@@ -132,7 +130,7 @@ func TestApplyAgainstConfig(t *testing.T) {
 		}
 		nodes := c.Nodes()
 		moves := make([]core.Move, len(nodes))
-		k.Moves(config.Config{}, nodes, moves)
+		k.Moves(nodes, moves)
 		movers := step.MoverMask(moves)
 		if movers == 0 {
 			continue
@@ -150,7 +148,7 @@ func TestApplyAgainstConfig(t *testing.T) {
 					targets[j] = pos
 				}
 			}
-			coll := sim.DetectCollision(nodes, targets, moving)
+			coll := oracle.DetectCollision(nodes, targets, moving)
 			switch outcome {
 			case step.Collided:
 				if coll == nil {
@@ -226,4 +224,17 @@ func TestIndexSorted(t *testing.T) {
 	if got := step.IndexSorted(nodes, grid.Coord{Q: -3, R: 9}); got != -1 {
 		t.Fatalf("absent node found at %d", got)
 	}
+}
+
+// TestNewRejectsUnpackableRange: packed views are the kernel's only
+// Look, so an algorithm seeing past vision.MaxPackedRange is refused
+// at construction rather than mis-decided later.
+func TestNewRejectsUnpackableRange(t *testing.T) {
+	step.New(core.Idle{Range: vision.MaxPackedRange}) // the widest packable range builds
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a visibility range past vision.MaxPackedRange")
+		}
+	}()
+	step.New(core.Idle{Range: vision.MaxPackedRange + 1})
 }

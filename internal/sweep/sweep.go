@@ -8,8 +8,8 @@
 // The three historically incompatible entry points all reduce to a
 // Spec:
 //
-//   - the Theorem 2 FSYNC exhaustive sweep (exhaustive.Verify, now a
-//     shim over this package) is Spec{N: 7},
+//   - the Theorem 2 FSYNC exhaustive sweep is Spec{N: 7} (the zero
+//     Spec),
 //   - the SSYNC robustness experiment (E8/E12) is Spec{Scheduler:
 //     SSYNC, Seeds: SeedRange(1, 32)} — every pattern runs once per
 //     seeded activation schedule and the Report aggregates per-pattern

@@ -5,8 +5,8 @@ package sweep_test
 // configurations), deterministic aggregation independent of worker
 // count — including seeded SSYNC robustness sweeps — and prompt,
 // leak-free context cancellation. The root package's equivalence tests
-// additionally pin exhaustive.Verify (now a shim over this engine)
-// report-for-report against the legacy simulator paths.
+// additionally pin the n = 7 report case for case against the
+// test-only reference loop (internal/oracle).
 
 import (
 	"bytes"
@@ -22,7 +22,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/enumerate"
-	"repro/internal/exhaustive"
 	"repro/internal/grid"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -55,34 +54,6 @@ func TestRunMatchesSerialReference(t *testing.T) {
 	}
 	if !rep.AllGathered() {
 		t.Fatalf("Theorem 2 sweep did not fully gather: %s", rep)
-	}
-}
-
-// TestVerifyShimMatchesSweep pins the compatibility shim: an
-// exhaustive.Verify report must equal the sweep.Run report it is built
-// from, case for case, at n = 7.
-func TestVerifyShimMatchesSweep(t *testing.T) {
-	legacy := exhaustive.Verify(core.Gatherer{}, exhaustive.Options{})
-	rep, err := sweep.Run(context.Background(), sweep.Spec{KeepCases: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Algorithm != rep.Algorithm || legacy.Total != rep.Total ||
-		legacy.MaxRounds != rep.MaxRounds || legacy.MeanRounds != rep.MeanRounds ||
-		legacy.MaxMoves != rep.MaxMoves || legacy.MeanMoves != rep.MeanMoves {
-		t.Fatalf("aggregates diverge:\nshim  %s\nsweep %s", legacy, rep)
-	}
-	if !reflect.DeepEqual(legacy.ByStatus, rep.ByStatus) {
-		t.Fatalf("status counts diverge: %v vs %v", legacy.ByStatus, rep.ByStatus)
-	}
-	if len(legacy.Cases) != len(rep.Cases) {
-		t.Fatalf("case counts diverge: %d vs %d", len(legacy.Cases), len(rep.Cases))
-	}
-	for i := range legacy.Cases {
-		l, s := legacy.Cases[i], rep.Cases[i]
-		if !l.Initial.Equal(s.Initial) || l.Status != s.Status || l.Rounds != s.Rounds || l.Moves != s.Moves {
-			t.Fatalf("case %d diverges between shim and sweep", i)
-		}
 	}
 }
 

@@ -1,13 +1,13 @@
 package repro
 
-// The transition-kernel refactor (internal/step) collapsed the three
-// per-layer copies of the look→compute→move step into one. These tests
-// pin the kernel bit-for-bit against the independent legacy reference
-// over entire configuration spaces: every run of every pattern of the
-// full n = 5 and n = 6 spaces, under FSYNC and under eight seeded
-// SSYNC schedules, must produce the identical Status/Rounds/Moves and
-// final configuration whether the kernel rides the packed fast path or
-// the map-based fallback.
+// The transition kernel (internal/step) is the one look→compute→move
+// step of every execution layer. These tests pin it bit-for-bit over
+// entire configuration spaces: every run of every pattern of the full
+// n = 5 and n = 6 spaces must produce the identical Status/Rounds/Moves
+// and final configuration under FSYNC as the independent map/string
+// reference loop (internal/oracle), and under eight seeded SSYNC
+// schedules whether the algorithm decides through its packed memo
+// table or through the map-based Compute.
 
 import (
 	"testing"
@@ -15,6 +15,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/enumerate"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -23,25 +24,24 @@ import (
 func assertSameRun(t *testing.T, label string, c config.Config, p, l sim.Result) {
 	t.Helper()
 	if p.Status != l.Status || p.Rounds != l.Rounds || p.Moves != l.Moves || !p.Final.Equal(l.Final) {
-		t.Fatalf("%s on %s: kernel %v/%d/%d legacy %v/%d/%d",
+		t.Fatalf("%s on %s: kernel %v/%d/%d reference %v/%d/%d",
 			label, c.Key(), p.Status, p.Rounds, p.Moves, l.Status, l.Rounds, l.Moves)
 	}
 }
 
 // TestKernelParityFullSmallSpaces sweeps the complete n = 5 (186
-// patterns) and n = 6 (814) spaces through sim.Run and sched.Run on
-// the packed kernel and with ComputePacked hidden, under FSYNC and
-// eight seeded random-subset SSYNC schedules — 14 runs per pattern per
-// path, bit-for-bit.
+// patterns) and n = 6 (814) spaces through sim.Run against the oracle
+// and through sched.Run with and without ComputePacked, under FSYNC and
+// eight seeded random-subset SSYNC schedules, bit-for-bit.
 func TestKernelParityFullSmallSpaces(t *testing.T) {
 	opts := sim.Options{DetectCycles: true, StopOnDisconnect: true, MaxRounds: 5000}
 	for _, n := range []int{5, 6} {
 		for _, c := range enumerate.Connected(n) {
-			// FSYNC through the simulator: packed kernel loop vs the
-			// independent legacy map/string loop.
+			// FSYNC through the simulator: the kernel loop vs the
+			// independent map/string loop.
 			assertSameRun(t, "sim/fsync", c,
 				sim.Run(core.Gatherer{}, c, opts),
-				sim.Run(legacyOnly{core.Gatherer{}}, c, opts))
+				oracle.Run(core.Gatherer{}, c, opts))
 			// FSYNC through the scheduler: must also equal the simulator.
 			ps := sched.Run(core.Gatherer{}, c, sched.FSYNC{}, opts)
 			assertSameRun(t, "sched/fsync", c, ps, sim.Run(core.Gatherer{}, c, opts))
@@ -60,16 +60,16 @@ func TestKernelParityFullSmallSpaces(t *testing.T) {
 }
 
 // TestKernelParityFailureStatuses drives the baselines — the
-// algorithms that actually collide, disconnect and stall — through
-// both kernel paths on the full n = 5 space, so the parity above is
-// not just 'everything gathers either way'.
+// algorithms that actually collide, disconnect and stall — through the
+// same comparisons on the full n = 5 space, so the parity above is not
+// just 'everything gathers either way'.
 func TestKernelParityFailureStatuses(t *testing.T) {
 	opts := sim.Options{DetectCycles: true, StopOnDisconnect: true, MaxRounds: 500}
 	statuses := map[sim.Status]int{}
 	for _, alg := range []core.Algorithm{core.GreedyEast{}, core.Idle{}} {
 		for _, c := range enumerate.Connected(5) {
 			p := sim.Run(alg, c, opts)
-			assertSameRun(t, alg.Name(), c, p, sim.Run(legacyOnly{alg}, c, opts))
+			assertSameRun(t, alg.Name(), c, p, oracle.Run(alg, c, opts))
 			statuses[p.Status]++
 			for seed := int64(1); seed <= 4; seed++ {
 				ps := sched.Run(alg, c, sched.NewRandomSubset(seed), opts)
