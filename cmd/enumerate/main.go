@@ -1,18 +1,19 @@
 // Command enumerate counts the connected configurations of n robots on
 // the triangular grid up to translation (fixed polyhexes) and prints the
 // table the paper's "3652 patterns" figure comes from. Known reference
-// counts (checked with a ✓) extend through n = 10; sizes through n = 14
-// enumerate on exact two-tier compact keys (config.Key64/Key128), so
-// the n = 8 extension space of E11 never touches string keys.
+// counts (checked with a ✓) extend through n = 12. Every size
+// enumerates on exact config.Key128 keys, which cover n ≤ 14
+// (enumerate.MaxKeyN); larger sizes are refused with exit status 2.
 //
 // Usage:
 //
-//	enumerate [-n 7] [-print] [-parallel]
+//	enumerate [-n 7] [-print]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/enumerate"
 	"repro/internal/viz"
@@ -21,17 +22,15 @@ import (
 func main() {
 	n := flag.Int("n", 7, "maximum configuration size")
 	print := flag.Bool("print", false, "render every configuration of the largest size")
-	parallel := flag.Bool("parallel", false, "use the parallel enumerator")
 	flag.Parse()
+	if *n < 1 || *n > enumerate.MaxKeyN {
+		fmt.Fprintf(os.Stderr, "enumerate: -n %d outside [1, %d], the exact key envelope\n", *n, enumerate.MaxKeyN)
+		os.Exit(2)
+	}
 
 	fmt.Println("size  connected patterns (up to translation)")
 	for k := 1; k <= *n; k++ {
-		var count int
-		if *parallel {
-			count = len(enumerate.ConnectedParallel(k, 0))
-		} else {
-			count = enumerate.Count(k)
-		}
+		count := enumerate.Count(k)
 		marker := ""
 		if k < len(enumerate.KnownCounts) && count == enumerate.KnownCounts[k] {
 			marker = "  ✓"

@@ -81,6 +81,7 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/enumerate"
 	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -156,6 +157,12 @@ Flags:
 	alg, err := shared.Algorithm()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "verify: %v\n", err)
+		os.Exit(2)
+	}
+	if *n > enumerate.MaxKeyN {
+		// Refused up front: every path below (plain, -cases, -range,
+		// -worker) would otherwise start enumerating first.
+		fmt.Fprintf(os.Stderr, "verify: -n %d is past the largest enumerable size %d\n", *n, enumerate.MaxKeyN)
 		os.Exit(2)
 	}
 	if *seeds < 1 {

@@ -9,7 +9,8 @@ import "repro/internal/grid"
 // anchor-relative fixed-width encoding as Key64, accumulated across two
 // words. Together the two keys form a two-tier scheme — Key64 first,
 // Key128 for patterns past it, strings only for patterns past both —
-// used by PatternSet and the enumeration dedup maps.
+// used by PatternSet and the relaxed enumeration's pattern map. (The
+// connected enumeration keys every size with Key128 alone.)
 
 // Key128 is a two-word compact pattern key. It is a comparable value
 // type, so it keys Go maps directly.

@@ -88,36 +88,17 @@ func (g Gatherer) Compute(v vision.View) Move {
 }
 
 // gathererMemos are the process-wide memo tables behind ComputePacked,
-// one per variant so ablations never share decisions. They are shared
-// across every run and sweep in the process — the second sweep of a
-// benchmark starts fully warm. The full variant's table is additionally
-// pre-seeded from the generated converged table (gatherer_memo_gen.go),
-// so even a cold process decides the whole n = 7 sweep table-driven,
-// like the override table. (To share decisions across processes of a
-// wider pipeline, wrap with core.Memoize and a caller-owned Memo.)
+// one per variant so ablations never share decisions. They fill on
+// first use and are shared across every run and sweep in the process —
+// the second sweep of a benchmark starts fully warm. (To share
+// decisions across processes of a wider pipeline, wrap with
+// core.Memoize and a caller-owned Memo.)
 var gathererMemos = func() (ms [len(variantNames)]*memoTable) {
 	for i := range ms {
 		ms[i] = newMemoTable()
 	}
-	for _, e := range gathererMemoSeed {
-		ms[VariantFull].store(e.K, e.M)
-	}
 	return ms
 }()
-
-//go:generate go run repro/cmd/memogen -out gatherer_memo_gen.go
-
-// GathererMemoSeed returns a copy of the generated converged view→move
-// table (gatherer_memo_gen.go): the full Gatherer's decision for every
-// packed view arising anywhere in the complete n = 7 exhaustive sweep.
-// The fixed-point test compares it against a freshly computed table.
-func GathererMemoSeed() map[uint64]Move {
-	out := make(map[uint64]Move, len(gathererMemoSeed))
-	for _, e := range gathererMemoSeed {
-		out[e.K] = e.M
-	}
-	return out
-}
 
 // ComputePacked implements PackedAlgorithm: a memoized Compute. The
 // sweep workloads revisit a small set of distinct views, so after warmup

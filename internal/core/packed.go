@@ -119,31 +119,6 @@ func (m *Memo) forAlg(name string) *memoTable {
 	return t
 }
 
-// Snapshot returns a copy of the named algorithm's memoized view→move
-// table: packed-view key (vision.PackedView.Key64) to decided move.
-// It returns nil when no decisions were memoized under that name. The
-// memo generator (cmd/memogen) snapshots a converged sweep's table to
-// produce gatherer_memo_gen.go, and the fixed-point test compares a
-// fresh snapshot against the generated table.
-func (m *Memo) Snapshot(name string) map[uint64]Move {
-	m.mu.Lock()
-	t := m.tables[name]
-	m.mu.Unlock()
-	if t == nil {
-		return nil
-	}
-	out := make(map[uint64]Move)
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for k, v := range s.m {
-			out[k] = v
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
-
 // Len returns the number of distinct (algorithm, view) decisions
 // memoized so far.
 func (m *Memo) Len() int {

@@ -110,7 +110,7 @@ func TestConnectedDeterministicOrder(t *testing.T) {
 
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 0} {
-		par := ConnectedParallel(6, workers)
+		par, _ := ConnectedStats(6, workers)
 		ser := Connected(6)
 		if len(par) != len(ser) {
 			t.Fatalf("workers=%d: %d patterns, want %d", workers, len(par), len(ser))
@@ -232,7 +232,7 @@ func BenchmarkEnumerate7(b *testing.B) {
 
 func BenchmarkEnumerate7Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(ConnectedParallel(7, 0)) != KnownCounts[7] {
+		if list, _ := ConnectedStats(7, 0); len(list) != KnownCounts[7] {
 			b.Fatal("bad count")
 		}
 	}

@@ -11,27 +11,23 @@ import (
 	"repro/internal/grid"
 )
 
-// This file is the key-native enumeration engine. The materializing growth
-// loop (enumerate.go) stores a materialized config.Config per pattern
-// per generation — a slice allocation each, gigabytes of map at n ≥ 11
-// — and merges its parallel workers' partial maps serially. Here a
-// frontier generation is a key-only set: candidates are keyed straight
-// from the growth scratch (config.Key64Nodes / config.Key128Nodes),
-// deduplicated in a 64-way lock-striped shard set (the internal/memo
-// striping idiom), and a configuration is rebuilt from its key
-// (config.FromKey128) only when a caller visits it. The canonical
-// output order is ascending key order — order "key/v1" in
-// sweep.SpecDesc terms — which coincides exactly with the
-// config.Compare order: for same-n normalized patterns the key is the
-// fixed-width concatenation of the node deltas in node order, so
-// integer comparison of keys IS lexicographic comparison of node
-// lists. The final generation is sorted by a parallel chunk merge sort
-// over the packed keys instead of sort.Slice over configs.
+// This file is the key-native enumeration engine. A frontier
+// generation is a key-only set: candidates are keyed straight from the
+// growth scratch as config.Key128 values (childKey), deduplicated in a
+// 64-way lock-striped shard set (the internal/memo striping idiom), and
+// a configuration is rebuilt from its key (config.FromKey128) only when
+// a caller visits it. The canonical output order is ascending key order
+// — order "key/v1" in sweep.SpecDesc terms — which coincides exactly
+// with the config.Compare order: for same-n normalized patterns the key
+// is the fixed-width concatenation of the node deltas in node order, so
+// integer comparison of keys IS lexicographic comparison of node lists.
+// The final generation is sorted by a parallel chunk merge sort over
+// the packed keys instead of sort.Slice over configs.
 
 // MaxKeyN is the largest robot count the key-native engine covers:
 // every connected pattern through config.MaxKeyNodes nodes is exactly
-// Key128-encodable (spread ≤ n−1). Larger sizes — far past any
-// tractable enumeration — fall back to the materializing engine.
+// Key128-encodable (spread ≤ n−1). Every entry point refuses larger
+// sizes (checkSize): they are far past any tractable enumeration.
 const MaxKeyN = config.MaxKeyNodes
 
 // Stats describes one enumeration run of the key-native engine — the
@@ -95,9 +91,6 @@ func KeysStats(n, workers int) ([]config.Key128, Stats) {
 // generation unsorted (content deterministic, order not).
 func growKeyGenerations(n, workers int) ([]config.Key128, Stats) {
 	checkSize(n)
-	if n > MaxKeyN {
-		panic("enumerate: size past the exact key envelope")
-	}
 	var stats Stats
 	if n == 0 {
 		return nil, stats
@@ -117,14 +110,6 @@ func growKeyGenerations(n, workers int) ([]config.Key128, Stats) {
 	stats.Patterns = len(cur)
 	stats.DurationUS = time.Since(start).Microseconds()
 	return cur, stats
-}
-
-// countKeys is the non-retaining count: it runs the same growth loop
-// and reads the final generation's size off the shard sets without
-// sorting or materializing anything.
-func countKeys(n, workers int) int {
-	keys, _ := growKeyGenerations(n, workers)
-	return len(keys)
 }
 
 // keyShardCount is the dedup set's stripe count, matching the
@@ -521,16 +506,6 @@ func mergeKeys(out, a, b []config.Key128) {
 // count; visit may be nil to count only, and may return false to stop
 // early. It is the adjacency-connected analogue of EachWithin.
 func Each(n int, visit func(config.Config) bool) int {
-	checkSize(n)
-	if n > MaxKeyN {
-		cs := connectedMap(n).sorted()
-		for _, c := range cs {
-			if visit != nil && !visit(c) {
-				break
-			}
-		}
-		return len(cs)
-	}
 	keys := Keys(n)
 	if visit != nil {
 		for _, k := range keys {
@@ -572,10 +547,13 @@ func normWorkers(workers int) int {
 }
 
 // checkSize is the one size guard every public entry point shares, so
-// Connected, ConnectedParallel, Count, Keys, and Each agree on
-// negative input.
+// Connected, ConnectedStats, Count, Keys, and Each agree on negative
+// input and on sizes past MaxKeyN.
 func checkSize(n int) {
 	if n < 0 {
 		panic("enumerate: negative size")
+	}
+	if n > MaxKeyN {
+		panic("enumerate: size past the exact key envelope")
 	}
 }

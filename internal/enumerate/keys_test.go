@@ -23,7 +23,7 @@ func TestKeyNativeMatchesLegacy(t *testing.T) {
 	for n := 0; n <= top; n++ {
 		want := oracle.Connected(n)
 		for _, workers := range []int{1, 4, 8} {
-			got := ConnectedParallel(n, workers)
+			got, _ := ConnectedStats(n, workers)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d workers=%d: %d patterns, reference %d", n, workers, len(got), len(want))
 			}
@@ -200,23 +200,32 @@ func TestKeysStats(t *testing.T) {
 }
 
 // TestNegativeSizePanics pins the one shared guard: every entry point
-// rejects a negative size the same way.
+// rejects a negative size, and a size past MaxKeyN, the same way.
 func TestNegativeSizePanics(t *testing.T) {
-	calls := map[string]func(){
-		"Connected":         func() { Connected(-1) },
-		"ConnectedParallel": func() { ConnectedParallel(-1, 2) },
-		"Count":             func() { Count(-1) },
-		"Keys":              func() { Keys(-1) },
-		"Each":              func() { Each(-1, nil) },
+	calls := map[string]func(n int){
+		"Connected":      func(n int) { Connected(n) },
+		"ConnectedStats": func(n int) { ConnectedStats(n, 2) },
+		"Count":          func(n int) { Count(n) },
+		"Keys":           func(n int) { Keys(n) },
+		"KeysStats":      func(n int) { KeysStats(n, 2) },
+		"Each":           func(n int) { Each(n, nil) },
 	}
-	for name, call := range calls {
-		func() {
-			defer func() {
-				if r := recover(); r != "enumerate: negative size" {
-					t.Errorf("%s(-1) panicked with %v, want the shared guard message", name, r)
-				}
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{
+		{-1, "enumerate: negative size"},
+		{MaxKeyN + 1, "enumerate: size past the exact key envelope"},
+	} {
+		for name, call := range calls {
+			func() {
+				defer func() {
+					if r := recover(); r != tc.want {
+						t.Errorf("%s(%d) panicked with %v, want %q", name, tc.n, r, tc.want)
+					}
+				}()
+				call(tc.n)
 			}()
-			call()
-		}()
+		}
 	}
 }

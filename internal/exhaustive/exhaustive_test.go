@@ -32,12 +32,19 @@ func verify(t *testing.T, spec sweep.Spec) *sweep.Report {
 
 // TestExhaustiveGathering is experiment E2, the paper's Theorem 2: the
 // proposed algorithm gathers, collision-free, from all 3652 connected
-// initial configurations of seven robots in the FSYNC model.
+// initial configurations of seven robots in the FSYNC model. A fresh
+// view cache also pins how many distinct views those runs decide on:
+// every round of every run is walked, so the cache ends up holding each
+// packed view the sweep ever shows a robot.
 func TestExhaustiveGathering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep skipped in -short mode")
 	}
-	report := verify(t, sweep.Spec{})
+	views := core.NewMemo()
+	report := verify(t, sweep.Spec{Cache: views})
+	if got := views.Len(); got != 5188 {
+		t.Fatalf("the n = 7 sweep decided %d distinct views, want 5188", got)
+	}
 	if report.Total != 3652 {
 		t.Fatalf("enumerated %d initial configurations, want 3652", report.Total)
 	}

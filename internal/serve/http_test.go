@@ -176,7 +176,7 @@ func TestHTTPSweep(t *testing.T) {
 	}
 
 	// Malformed and invalid specs are client errors before any stream.
-	for _, body := range []string{"{", `{"n":5,"sched":"bogus"}`} {
+	for _, body := range []string{"{", `{"n":5,"sched":"bogus"}`, `{"n":15}`} {
 		resp, err := http.Post(srv.URL+"/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

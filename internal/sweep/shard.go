@@ -221,8 +221,8 @@ func (d SpecDesc) Validate() error {
 	default:
 		return fmt.Errorf("sweep: scheduler %q is not distributable (want fsync, ssync, or cent)", d.Sched)
 	}
-	if d.N < 1 {
-		return fmt.Errorf("sweep: invalid robot count %d", d.N)
+	if err := checkN(d.N); err != nil {
+		return err
 	}
 	if d.Order != OrderKeyV1 {
 		return fmt.Errorf("sweep: source order %q, this binary speaks %q", d.Order, OrderKeyV1)

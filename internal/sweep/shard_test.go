@@ -119,6 +119,8 @@ func TestSpecDescDigestAndValidate(t *testing.T) {
 		// binary must refuse it loudly rather than guess.
 		{N: 6, Version: 1},
 		{N: 6, Order: "legacy"},
+		// Past the exact key envelope: refused before anything enumerates.
+		{N: enumerate.MaxKeyN + 1},
 	} {
 		b := bad
 		b.Normalize()

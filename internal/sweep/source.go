@@ -79,6 +79,16 @@ func Connected(n int) Source {
 	return &connectedSource{n: n}
 }
 
+// checkN refuses robot counts outside [1, enumerate.MaxKeyN], the
+// sizes the connected space can be enumerated at. Descriptors and
+// default sources meet it before anything enumerates.
+func checkN(n int) error {
+	if n < 1 || n > enumerate.MaxKeyN {
+		return fmt.Errorf("sweep: invalid robot count %d (want 1..%d)", n, enumerate.MaxKeyN)
+	}
+	return nil
+}
+
 type connectedSource struct {
 	n     int
 	once  sync.Once

@@ -336,6 +336,9 @@ func Stream(ctx context.Context, spec Spec, visit func(CaseResult) error) (*Repo
 		spec.Alg = core.Gatherer{}
 	}
 	if spec.Source == nil {
+		if err := checkN(spec.N); err != nil {
+			return nil, err
+		}
 		spec.Source = Connected(spec.N)
 	}
 	if spec.Adversary != nil {

@@ -232,6 +232,12 @@ func TestSources(t *testing.T) {
 	if rep.Patterns != 4 || rep.Source != "list(4)" || !rep.AllGathered() {
 		t.Fatalf("list sweep: %s", rep)
 	}
+
+	// The default source refuses a size it cannot enumerate instead of
+	// starting to.
+	if _, err := sweep.Run(context.Background(), sweep.Spec{N: enumerate.MaxKeyN + 1}); err == nil {
+		t.Fatalf("Run accepted n = %d with the default source", enumerate.MaxKeyN+1)
+	}
 }
 
 // TestAdversaryMode runs the exact-adversary sweep over the full n = 5
