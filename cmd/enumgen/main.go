@@ -1,6 +1,6 @@
 // Command enumgen builds and verifies pattern-index artifacts: the
 // canonical "key/v1" key list of a connected pattern space, persisted
-// in internal/enumerate's flat sha256-digested format. A distributed
+// as a flat key array in an internal/artifact envelope. A distributed
 // sweep hands the artifact to its workers (`sweepd run -index`,
 // `sweepd serve -index`, `verify -index`) so each one seeks straight
 // to its shard instead of re-enumerating the space.
@@ -12,9 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
+	"repro/internal/artifact"
 	"repro/internal/enumerate"
 )
 
@@ -39,10 +40,16 @@ func main() {
 			fatal(fmt.Errorf("enumgen: -n requires -o"))
 		}
 		ix, stats := enumerate.BuildIndex(*n, *workers)
-		if want := knownCount(*n); want > 0 && ix.Count() != want {
-			fatal(fmt.Errorf("enumgen: enumerated %d patterns for n=%d, published count is %d", ix.Count(), *n, want))
+		if *n < len(enumerate.KnownCounts) && ix.Count() != enumerate.KnownCounts[*n] {
+			fatal(fmt.Errorf("enumgen: enumerated %d patterns for n=%d, published count is %d", ix.Count(), *n, enumerate.KnownCounts[*n]))
 		}
-		if err := writeAtomic(*out, ix); err != nil {
+		// Published atomically and synced: a killed build never leaves a
+		// torn or empty artifact where a worker would load it.
+		err := artifact.WriteFile(*out, func(w io.Writer) error {
+			_, err := ix.WriteTo(w)
+			return err
+		})
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%s: n=%d patterns=%d digest=%s candidates=%d dedup_hit_rate=%.3f peak_frontier=%d patterns_per_sec=%.0f\n",
@@ -52,31 +59,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// writeAtomic writes through a temp file + rename so a killed build
-// never leaves a half-written artifact where a worker would load it.
-func writeAtomic(path string, ix *enumerate.Index) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".enumgen-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := ix.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func knownCount(n int) int {
-	if n < len(enumerate.KnownCounts) {
-		return enumerate.KnownCounts[n]
-	}
-	return 0
 }
 
 func fatal(err error) {

@@ -54,14 +54,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
@@ -146,24 +144,6 @@ func orchFlags(fs *flag.FlagSet) *orch {
 	}
 }
 
-// loadIndexes parses the -index flag into a verified IndexSet (nil
-// when the flag is empty).
-func loadIndexes(spec string) (*sweep.IndexSet, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	set := &sweep.IndexSet{}
-	for _, path := range strings.Split(spec, ",") {
-		if path = strings.TrimSpace(path); path == "" {
-			continue
-		}
-		if err := set.Load(path); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
-}
-
 func (o *orch) options() (dist.Options, error) {
 	opts := dist.Options{
 		Shards:         *o.shards,
@@ -172,7 +152,7 @@ func (o *orch) options() (dist.Options, error) {
 		Backoff:        *o.backoff,
 		CheckpointPath: *o.checkpoint,
 	}
-	set, err := loadIndexes(*o.index)
+	set, err := sweep.LoadIndexes(*o.index)
 	if err != nil {
 		return opts, fmt.Errorf("sweepd: loading pattern index: %v", err)
 	}
@@ -299,7 +279,7 @@ func cmdServe(args []string) {
 	pprofAddr := fs.String("pprof", "", "serve this worker's /metrics and /debug/pprof on this address (off when empty)")
 	index := fs.String("index", "", "comma-separated pattern-index files (cmd/enumgen) to seek shards from instead of re-enumerating")
 	fs.Parse(args)
-	set, err := loadIndexes(*index)
+	set, err := sweep.LoadIndexes(*index)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweepd serve: loading pattern index: %v\n", err)
 		os.Exit(2)
@@ -330,23 +310,9 @@ func emit(report *sweep.Report, err error, o *orch) {
 	if *o.progress {
 		fmt.Fprintln(os.Stderr)
 	}
-	if *o.jsonOut {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweepd: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Println(string(data))
-	} else {
-		fmt.Println(report)
-		if report.Schedules > 1 {
-			fmt.Println("\nrobustness histogram (patterns by schedules gathered):")
-			for k, count := range report.Robust {
-				if count > 0 {
-					fmt.Printf("%4d/%d: %6d\n", k, report.Schedules, count)
-				}
-			}
-		}
+	if err := report.Print(os.Stdout, *o.jsonOut); err != nil {
+		fmt.Fprintf(os.Stderr, "sweepd: %v\n", err)
+		os.Exit(2)
 	}
 	if !report.AllGathered() && !*o.allowFail {
 		os.Exit(1)

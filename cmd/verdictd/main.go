@@ -3,8 +3,9 @@
 // evaluation engines (internal/serve).
 //
 // The hot path is the generated verdict table: every connected pattern
-// with n ≤ 8 is answered from one precomputed map lookup — O(1),
-// allocation-free, no engine runs. Anything else (n ≥ 9, disconnected
+// with n ≤ 8 is answered by one binary search over the embedded,
+// load-verified table (internal/serve/verdicts.bin) — allocation-free,
+// no engine runs. Anything else (n ≥ 9, disconnected
 // relaxed-space starts, non-default algorithms) is computed live by
 // the sweep/sim/adversary machinery behind per-key single-flight, so a
 // thundering herd of identical novel queries costs exactly one solve.

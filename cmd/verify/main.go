@@ -75,7 +75,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/cliflags"
@@ -178,18 +177,10 @@ Flags:
 		os.Exit(2)
 	}
 
-	var indexSet *sweep.IndexSet
-	if *indexPath != "" {
-		indexSet = &sweep.IndexSet{}
-		for _, p := range strings.Split(*indexPath, ",") {
-			if p = strings.TrimSpace(p); p == "" {
-				continue
-			}
-			if err := indexSet.Load(p); err != nil {
-				fmt.Fprintf(os.Stderr, "verify: loading pattern index: %v\n", err)
-				os.Exit(2)
-			}
-		}
+	indexSet, err := sweep.LoadIndexes(*indexPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "verify: loading pattern index: %v\n", err)
+		os.Exit(2)
 	}
 
 	// Worker mode: one shard of a distributed sweep, framed JSONL on
@@ -336,23 +327,9 @@ Flags:
 		}
 	}
 
-	if *jsonOut {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "verify: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Println(string(data))
-	} else {
-		fmt.Println(report)
-		if report.Schedules > 1 {
-			fmt.Println("\nrobustness histogram (patterns by schedules gathered):")
-			for k, count := range report.Robust {
-				if count > 0 {
-					fmt.Printf("%4d/%d: %6d\n", k, report.Schedules, count)
-				}
-			}
-		}
+	if err := report.Print(os.Stdout, *jsonOut); err != nil {
+		fmt.Fprintf(os.Stderr, "verify: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *classes && !*jsonOut {

@@ -14,7 +14,7 @@ package config
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/grid"
@@ -31,31 +31,8 @@ type Config struct {
 func New(nodes ...grid.Coord) Config {
 	out := make([]grid.Coord, len(nodes))
 	copy(out, nodes)
-	sortCoords(out)
-	out = dedup(out)
-	return Config{nodes: out}
-}
-
-func sortCoords(cs []grid.Coord) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Q != cs[j].Q {
-			return cs[i].Q < cs[j].Q
-		}
-		return cs[i].R < cs[j].R
-	})
-}
-
-func dedup(cs []grid.Coord) []grid.Coord {
-	if len(cs) == 0 {
-		return cs
-	}
-	out := cs[:1]
-	for _, c := range cs[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
+	slices.SortFunc(out, grid.Coord.Compare)
+	return Config{nodes: slices.Compact(out)}
 }
 
 // Len returns the number of robot nodes.
@@ -70,11 +47,8 @@ func (c Config) Nodes() []grid.Coord {
 
 // Has reports whether node v is a robot node.
 func (c Config) Has(v grid.Coord) bool {
-	i := sort.Search(len(c.nodes), func(i int) bool {
-		n := c.nodes[i]
-		return n.Q > v.Q || (n.Q == v.Q && n.R >= v.R)
-	})
-	return i < len(c.nodes) && c.nodes[i] == v
+	_, ok := slices.BinarySearchFunc(c.nodes, v, grid.Coord.Compare)
+	return ok
 }
 
 // Set returns the configuration as a membership map.

@@ -16,6 +16,24 @@ import "repro/internal/grid"
 // type, so it keys Go maps directly.
 type Key128 struct{ Hi, Lo uint64 }
 
+// Compare orders keys ascending, Hi before Lo — the "key/v1" canonical
+// source order.
+func (k Key128) Compare(o Key128) int {
+	switch {
+	case k.Hi != o.Hi:
+		if k.Hi < o.Hi {
+			return -1
+		}
+		return 1
+	case k.Lo != o.Lo:
+		if k.Lo < o.Lo {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
 // Key128 returns a compact translation-invariant key for the pattern,
 // equivalent to Key(): two configurations have equal exact keys iff
 // they are the same pattern. exact is false when the pattern does not

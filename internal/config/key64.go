@@ -137,18 +137,8 @@ func (c Config) Compare(o Config) int {
 		return 1
 	}
 	for i, v := range c.nodes {
-		w := o.nodes[i]
-		switch {
-		case v.Q != w.Q:
-			if v.Q < w.Q {
-				return -1
-			}
-			return 1
-		case v.R != w.R:
-			if v.R < w.R {
-				return -1
-			}
-			return 1
+		if d := v.Compare(o.nodes[i]); d != 0 {
+			return d
 		}
 	}
 	return 0

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/vision"
@@ -106,12 +106,7 @@ func adjacentToAny(t grid.Coord, others []grid.Coord) bool {
 // connectedAfter checks the post-move trio is connected.
 func connectedAfter(t grid.Coord, others []grid.Coord) bool {
 	nodes := []grid.Coord{t, others[0], others[1]}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Q != nodes[j].Q {
-			return nodes[i].Q < nodes[j].Q
-		}
-		return nodes[i].R < nodes[j].R
-	})
+	slices.SortFunc(nodes, grid.Coord.Compare)
 	// Three nodes are connected iff some node is adjacent to both others,
 	// or the adjacency chain covers all three.
 	adj := func(a, b grid.Coord) bool { return a.IsAdjacent(b) }

@@ -1,14 +1,13 @@
 package dist
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"repro/internal/artifact"
 	"repro/internal/sweep"
 )
 
@@ -98,47 +97,23 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// checkpointFile is the on-disk envelope: the payload plus its SHA-256,
-// so truncation and corruption are detected before a resume trusts a
-// single byte of it.
-type checkpointFile struct {
-	Checkpoint json.RawMessage `json:"checkpoint"`
-	SHA256     string          `json:"sha256"`
-}
+// CheckpointKind is the checkpoint's artifact format: the Checkpoint's
+// JSON as a payload of 1-byte records, so truncation and corruption
+// are detected before a resume trusts a single byte of it.
+var CheckpointKind = artifact.Kind{Magic: "PHXCKPT1", Version: 1, RecordSize: 1}
 
-// SaveCheckpoint writes the checkpoint atomically: payload and
-// integrity hash to a temp file in the same directory, then rename. A
-// coordinator killed mid-save leaves either the old checkpoint or the
+// SaveCheckpoint writes the checkpoint atomically (artifact.WriteFile):
+// a coordinator killed mid-save leaves either the old checkpoint or the
 // new one, never a torn file.
 func SaveCheckpoint(path string, c *Checkpoint) error {
 	payload, err := json.Marshal(c)
 	if err != nil {
 		return err
 	}
-	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(checkpointFile{Checkpoint: payload, SHA256: hex.EncodeToString(sum[:])})
-	if err != nil {
+	return artifact.WriteFile(path, func(w io.Writer) error {
+		_, err := artifact.Write(w, CheckpointKind, [2]uint32{}, payload)
 		return err
-	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 // LoadCheckpoint reads, integrity-checks, and validates a checkpoint.
@@ -149,16 +124,12 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("dist: checkpoint %s is truncated or corrupt: %v", path, err)
-	}
-	sum := sha256.Sum256(f.Checkpoint)
-	if hex.EncodeToString(sum[:]) != f.SHA256 {
-		return nil, fmt.Errorf("dist: checkpoint %s fails its integrity hash", path)
+	_, payload, err := artifact.Read(data, CheckpointKind)
+	if err != nil {
+		return nil, fmt.Errorf("dist: checkpoint %s is truncated or corrupt: %w", path, err)
 	}
 	var c Checkpoint
-	if err := json.Unmarshal(f.Checkpoint, &c); err != nil {
+	if err := json.Unmarshal(payload, &c); err != nil {
 		return nil, fmt.Errorf("dist: checkpoint %s payload is corrupt: %v", path, err)
 	}
 	if err := c.Validate(); err != nil {

@@ -1,59 +1,45 @@
 package enumerate
 
 import (
-	"bufio"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/internal/artifact"
 	"repro/internal/config"
 )
 
 // A pattern index is the enumeration made seekable: the canonical
 // ("key/v1") key list of one connected pattern space, persisted as a
-// flat array of packed keys with a sha256-digested header. A
+// flat array of packed keys in an internal/artifact envelope. A
 // distributed worker that loads the index seeks to its shard's
 // [lo, hi) source range in O(1) — slice the key array — instead of
 // re-enumerating the whole space per worker, per shard retry, per
 // resume, which was the dominant startup cost of dist sweeps at n ≥ 9.
 // cmd/enumgen builds the artifact; sweep.ConnectedIndex serves it as a
 // sweep source bit-identical to the in-memory enumeration.
-//
-// File layout (little-endian, fixed 64-byte header, then the payload):
-//
-//	offset  size  field
-//	0       8     magic "PHXKIDX1"
-//	8       4     format version (indexFormatVersion)
-//	12      4     source order version (indexOrderKeyV1)
-//	16      4     n — the robot count of the space
-//	20      4     reserved (zero)
-//	24      8     count — number of keys
-//	32      32    sha256 of the payload bytes
-//	64      16·count  keys: config.Key128 as (Hi, Lo), each uint64 LE
-//
-// The payload is a bare, 64-byte-aligned array of 16-byte records in
-// ascending key order — mmap-friendly by construction, though the
-// loader here simply reads it (the largest tabulated space, n = 12, is
-// 131 MB).
 
-const (
-	indexMagic         = "PHXKIDX1"
-	indexFormatVersion = 1
-	// indexOrderKeyV1 names the canonical source order the key array
-	// is sorted in: ascending packed-key order, the order
-	// sweep.OrderKeyV1 declares and config.Compare agrees with.
-	indexOrderKeyV1 = 1
-	indexHeaderSize = 64
-)
+// IndexKind is the pattern index's artifact format (version 2: the
+// first on the shared envelope). Its format parameters are the source
+// order version (indexOrderKeyV1) and n; its payload is a bare,
+// 64-byte-aligned array of 16-byte records, config.Key128 as (Hi, Lo)
+// little-endian, in ascending key order — mmap-friendly, though the
+// loader simply reads it (the largest tabulated space, n = 12, is
+// 131 MB).
+var IndexKind = artifact.Kind{Magic: "PHXKIDX1", Version: 2, RecordSize: 16}
+
+// indexOrderKeyV1 names the canonical source order the key array is
+// sorted in: ascending packed-key order, the order sweep.OrderKeyV1
+// declares and config.Compare agrees with.
+const indexOrderKeyV1 = 1
 
 // Index is a loaded (or freshly built) pattern index: the canonical
 // key list of the connected n-robot space.
 type Index struct {
 	n      int
-	keys   []config.Key128
+	keys   []byte // the artifact payload
 	digest [32]byte
 }
 
@@ -62,21 +48,28 @@ type Index struct {
 // enumeration's Stats.
 func BuildIndex(n, workers int) (*Index, Stats) {
 	keys, stats := KeysStats(n, workers)
-	return &Index{n: n, keys: keys, digest: digestKeys(keys)}, stats
+	b := make([]byte, 16*len(keys))
+	for i, k := range keys {
+		binary.LittleEndian.PutUint64(b[16*i:], k.Hi)
+		binary.LittleEndian.PutUint64(b[16*i+8:], k.Lo)
+	}
+	return &Index{n: n, keys: b, digest: artifact.Sum(b)}, stats
 }
 
 // N returns the robot count of the indexed space.
 func (ix *Index) N() int { return ix.n }
 
 // Count returns the number of patterns in the indexed space.
-func (ix *Index) Count() int { return len(ix.keys) }
+func (ix *Index) Count() int { return len(ix.keys) / 16 }
 
 // Key returns the i-th pattern's packed key.
-func (ix *Index) Key(i int) config.Key128 { return ix.keys[i] }
+func (ix *Index) Key(i int) config.Key128 {
+	return config.Key128{Hi: binary.LittleEndian.Uint64(ix.keys[16*i:]), Lo: binary.LittleEndian.Uint64(ix.keys[16*i+8:])}
+}
 
 // At decodes the i-th pattern in canonical order.
 func (ix *Index) At(i int) config.Config {
-	c, err := config.FromKey128(ix.keys[i])
+	c, err := config.FromKey128(ix.Key(i))
 	if err != nil {
 		panic("enumerate: corrupt index key: " + err.Error())
 	}
@@ -87,104 +80,53 @@ func (ix *Index) At(i int) config.Config {
 // loader verifies and the tools print.
 func (ix *Index) Digest() string { return hex.EncodeToString(ix.digest[:]) }
 
-func digestKeys(keys []config.Key128) [32]byte {
-	h := sha256.New()
-	var rec [16]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(rec[0:8], k.Hi)
-		binary.LittleEndian.PutUint64(rec[8:16], k.Lo)
-		h.Write(rec[:])
-	}
-	var sum [32]byte
-	h.Sum(sum[:0])
-	return sum
-}
-
-// WriteTo serializes the index in the flat file format.
+// WriteTo serializes the index in its artifact format.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	var head [indexHeaderSize]byte
-	copy(head[0:8], indexMagic)
-	binary.LittleEndian.PutUint32(head[8:12], indexFormatVersion)
-	binary.LittleEndian.PutUint32(head[12:16], indexOrderKeyV1)
-	binary.LittleEndian.PutUint32(head[16:20], uint32(ix.n))
-	binary.LittleEndian.PutUint64(head[24:32], uint64(len(ix.keys)))
-	copy(head[32:64], ix.digest[:])
-	if _, err := w.Write(head[:]); err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var rec [16]byte
-	for _, k := range ix.keys {
-		binary.LittleEndian.PutUint64(rec[0:8], k.Hi)
-		binary.LittleEndian.PutUint64(rec[8:16], k.Lo)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return 0, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return int64(indexHeaderSize + 16*len(ix.keys)), nil
+	return artifact.Write(w, IndexKind, [2]uint32{indexOrderKeyV1, uint32(ix.n)}, ix.keys)
 }
 
-// ReadIndex parses and fully verifies an index stream: magic, format
-// and order versions, count, the payload digest, and ascending key
-// order. A truncated, bit-flipped, or mis-sorted file fails here, never
-// downstream in a sweep.
+// ReadIndex reads and fully verifies an index stream: the envelope
+// (magic, format version, count, payload digest), then the order
+// version, n and ascending key order. A truncated, bit-flipped, or
+// mis-sorted file fails here, never downstream in a sweep.
 func ReadIndex(r io.Reader) (*Index, error) {
-	var head [indexHeaderSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("enumerate: index header: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("enumerate: index: %w", err)
 	}
-	if string(head[0:8]) != indexMagic {
-		return nil, fmt.Errorf("enumerate: not a pattern index (bad magic)")
-	}
-	if v := binary.LittleEndian.Uint32(head[8:12]); v != indexFormatVersion {
-		return nil, fmt.Errorf("enumerate: index format version %d, this binary speaks %d", v, indexFormatVersion)
-	}
-	if v := binary.LittleEndian.Uint32(head[12:16]); v != indexOrderKeyV1 {
-		return nil, fmt.Errorf("enumerate: index source order %d, this binary speaks %d (key/v1)", v, indexOrderKeyV1)
-	}
-	n := int(binary.LittleEndian.Uint32(head[16:20]))
-	count := binary.LittleEndian.Uint64(head[24:32])
-	if n < 1 || n > MaxKeyN {
-		return nil, fmt.Errorf("enumerate: index n = %d outside the exact key envelope", n)
-	}
-	if max := uint64(1) << 40; count == 0 || count > max {
-		return nil, fmt.Errorf("enumerate: implausible index count %d", count)
-	}
-	ix := &Index{n: n, keys: make([]config.Key128, count)}
-	copy(ix.digest[:], head[32:64])
-	br := bufio.NewReaderSize(r, 1<<16)
-	var rec [16]byte
-	for i := range ix.keys {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("enumerate: index truncated at key %d of %d: %w", i, count, err)
-		}
-		ix.keys[i] = config.Key128{
-			Hi: binary.LittleEndian.Uint64(rec[0:8]),
-			Lo: binary.LittleEndian.Uint64(rec[8:16]),
-		}
-		if i > 0 && cmpKey128(ix.keys[i-1], ix.keys[i]) >= 0 {
-			return nil, fmt.Errorf("enumerate: index keys out of canonical order at %d", i)
-		}
-	}
-	if got := digestKeys(ix.keys); got != ix.digest {
-		return nil, fmt.Errorf("enumerate: index payload digest mismatch (file %x, computed %x)", ix.digest, got)
-	}
-	return ix, nil
+	return parseIndex(b)
 }
 
 // LoadIndex reads and verifies an index file.
 func LoadIndex(path string) (*Index, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	ix, err := ReadIndex(f)
+	ix, err := parseIndex(b)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ix, nil
+}
+
+func parseIndex(b []byte) (*Index, error) {
+	h, payload, err := artifact.Read(b, IndexKind)
+	if err != nil {
+		return nil, fmt.Errorf("enumerate: index: %w", err)
+	}
+	if v := h.Params[0]; v != indexOrderKeyV1 {
+		return nil, fmt.Errorf("enumerate: index source order %d, this binary speaks %d (key/v1)", v, indexOrderKeyV1)
+	}
+	n := int(h.Params[1])
+	if n < 1 || n > MaxKeyN {
+		return nil, fmt.Errorf("enumerate: index n = %d outside the exact key envelope", n)
+	}
+	ix := &Index{n: n, keys: payload, digest: h.Sum}
+	for i := 1; i < ix.Count(); i++ {
+		if ix.Key(i-1).Compare(ix.Key(i)) >= 0 {
+			return nil, fmt.Errorf("enumerate: index keys out of canonical order at %d", i)
+		}
 	}
 	return ix, nil
 }

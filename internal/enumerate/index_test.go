@@ -2,10 +2,13 @@ package enumerate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/config"
 )
 
@@ -52,8 +55,9 @@ func TestIndexRoundTrip(t *testing.T) {
 }
 
 // TestIndexRejectsCorruption: every way a file can lie — wrong magic,
-// skewed versions, truncation, a flipped payload bit, a re-ordered
-// payload — must fail at load, not downstream in a sweep.
+// skewed versions, truncation, a count far beyond the payload, a
+// flipped payload bit, a re-ordered payload — must fail at load, not
+// downstream in a sweep.
 func TestIndexRejectsCorruption(t *testing.T) {
 	ix, _ := BuildIndex(5, 1)
 	var buf bytes.Buffer
@@ -73,9 +77,16 @@ func TestIndexRejectsCorruption(t *testing.T) {
 	corrupt("order version skew", func(b []byte) []byte { b[12]++; return b })
 	corrupt("zero count", func(b []byte) []byte { b[24], b[25] = 0, 0; return b })
 	corrupt("truncated payload", func(b []byte) []byte { return b[:len(b)-8] })
-	corrupt("flipped payload bit", func(b []byte) []byte { b[indexHeaderSize+3] ^= 1; return b })
+	// A count far beyond the payload (1 TiB of keys, in a 3 KB file)
+	// must end as a clean truncation error, not a huge allocation.
+	lying := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(lying[24:32], 1<<36)
+	if _, err := ReadIndex(bytes.NewReader(lying)); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("count far beyond the payload: got %v, want a truncation error", err)
+	}
+	corrupt("flipped payload bit", func(b []byte) []byte { b[artifact.HeaderSize+3] ^= 1; return b })
 	corrupt("swapped records", func(b []byte) []byte {
-		lo := indexHeaderSize
+		lo := artifact.HeaderSize
 		for i := 0; i < 16; i++ {
 			b[lo+i], b[lo+16+i] = b[lo+16+i], b[lo+i]
 		}
@@ -99,7 +110,7 @@ func TestIndexSeek(t *testing.T) {
 	}
 	var k config.Key128
 	for i := 0; i < ix.Count(); i++ {
-		if cmpKey128(k, ix.Key(i)) >= 0 && i > 0 {
+		if k.Compare(ix.Key(i)) >= 0 && i > 0 {
 			t.Fatalf("index keys not strictly ascending at %d", i)
 		}
 		k = ix.Key(i)

@@ -408,24 +408,6 @@ func containsSorted(nodes []grid.Coord, v grid.Coord) bool {
 	return false
 }
 
-// cmpKey128 orders keys ascending, Hi before Lo — the "key/v1"
-// canonical source order.
-func cmpKey128(a, b config.Key128) int {
-	switch {
-	case a.Hi != b.Hi:
-		if a.Hi < b.Hi {
-			return -1
-		}
-		return 1
-	case a.Lo != b.Lo:
-		if a.Lo < b.Lo {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
 // parallelSortKeys sorts keys ascending with a parallel chunk merge
 // sort: contiguous chunks sort concurrently, then pairs of sorted runs
 // merge concurrently per round, ping-ponging through one auxiliary
@@ -436,7 +418,7 @@ func parallelSortKeys(keys []config.Key128, workers int) {
 		workers = len(keys) / minChunk
 	}
 	if workers <= 1 {
-		slices.SortFunc(keys, cmpKey128)
+		slices.SortFunc(keys, config.Key128.Compare)
 		return
 	}
 	bounds := make([]int, 0, workers+1)
@@ -450,7 +432,7 @@ func parallelSortKeys(keys []config.Key128, workers int) {
 		wg.Add(1)
 		go func(part []config.Key128) {
 			defer wg.Done()
-			slices.SortFunc(part, cmpKey128)
+			slices.SortFunc(part, config.Key128.Compare)
 		}(keys[bounds[i]:bounds[i+1]])
 	}
 	wg.Wait()
@@ -486,7 +468,7 @@ func parallelSortKeys(keys []config.Key128, workers int) {
 func mergeKeys(out, a, b []config.Key128) {
 	w := 0
 	for len(a) > 0 && len(b) > 0 {
-		if cmpKey128(a[0], b[0]) <= 0 {
+		if a[0].Compare(b[0]) <= 0 {
 			out[w] = a[0]
 			a = a[1:]
 		} else {

@@ -51,7 +51,7 @@ func TestKeysSortedCanonically(t *testing.T) {
 			t.Fatalf("n=%d: %d keys, want %d", n, len(keys), len(want))
 		}
 		for i, k := range keys {
-			if i > 0 && cmpKey128(keys[i-1], k) >= 0 {
+			if i > 0 && keys[i-1].Compare(k) >= 0 {
 				t.Fatalf("n=%d: keys out of order at %d", n, i)
 			}
 			c, err := config.FromKey128(k)

@@ -13,7 +13,10 @@
 // x = 2Q+R and y = R. See Label.
 package grid
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Coord is a node of the infinite triangular grid in axial coordinates.
 // The zero value is the origin.
@@ -95,6 +98,9 @@ func (c Coord) Add(d Coord) Coord { return Coord{Q: c.Q + d.Q, R: c.R + d.R} }
 
 // Sub returns the offset from d to c.
 func (c Coord) Sub(d Coord) Coord { return Coord{Q: c.Q - d.Q, R: c.R - d.R} }
+
+// Compare orders nodes by Q, then R: the node order of a configuration.
+func (c Coord) Compare(d Coord) int { return cmp.Or(cmp.Compare(c.Q, d.Q), cmp.Compare(c.R, d.R)) }
 
 // Neg returns the opposite offset.
 func (c Coord) Neg() Coord { return Coord{Q: -c.Q, R: -c.R} }

@@ -3,10 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
-	"go/format"
 
 	"repro/internal/adversary"
+	"repro/internal/artifact"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/memo"
@@ -16,7 +17,8 @@ import (
 
 // This file is the verdict-table generator's brain; cmd/verdictgen is a
 // thin main over it so the fixed-point tests can recompute table
-// prefixes in-process and byte-compare against the committed file.
+// prefixes in-process and byte-compare against the committed
+// verdicts.bin.
 //
 // Every axis of an entry is deterministic by construction, which is
 // what makes "regenerate and byte-compare" a meaningful test:
@@ -27,47 +29,45 @@ import (
 //   - Defeasibility: the exact solver — verdicts, witness kinds and
 //     depths are interleaving-independent at any worker count.
 
-// Entry is one computed table row.
-type Entry struct {
-	Key config.Key128
-	Rec Record
-}
-
-// ComputeEntries recomputes the verdict table for minN ≤ n ≤ maxN from
-// the live engines: one FSYNC sweep, one TableSchedules-seed SSYNC
+// GenerateTable recomputes the verdict table for minN ≤ n ≤ maxN from
+// the live engines — one FSYNC sweep, one TableSchedules-seed SSYNC
 // robustness sweep, and one solver-only adversary sweep per n, all
-// sharing one view→move cache. Entries come back in table order (n
-// ascending, enumeration order within n) together with the offsets
-// slice (offsets[i] = first index of n = minN+i; last element =
-// len(entries)). logf, when non-nil, receives per-n progress.
-func ComputeEntries(ctx context.Context, minN, maxN, workers int, logf func(string, ...any)) ([]Entry, []int, error) {
+// sharing one view→move cache — and returns it as a verdicts.bin
+// artifact. It refuses to produce a table the loader would refuse.
+// logf, when non-nil, receives per-n progress.
+func GenerateTable(ctx context.Context, minN, maxN, workers int, logf func(string, ...any)) ([]byte, error) {
 	if minN < 1 || maxN < minN {
-		return nil, nil, fmt.Errorf("serve: bad table bounds [%d, %d]", minN, maxN)
+		return nil, fmt.Errorf("serve: bad table bounds [%d, %d]", minN, maxN)
 	}
 	if maxN > adversary.MaxRobots {
-		return nil, nil, fmt.Errorf("serve: table bound n=%d exceeds the solver envelope (%d)", maxN, adversary.MaxRobots)
+		return nil, fmt.Errorf("serve: table bound n=%d exceeds the solver envelope (%d)", maxN, adversary.MaxRobots)
 	}
 	cache := core.NewMemo()
-	var entries []Entry
-	offsets := make([]int, 0, maxN-minN+2)
+	var payload []byte
 	for n := minN; n <= maxN; n++ {
-		offsets = append(offsets, len(entries))
-		ents, err := computeN(ctx, n, workers, cache)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: n=%d: %w", n, err)
+		before := len(payload)
+		var err error
+		if payload, err = computeN(ctx, n, workers, cache, payload); err != nil {
+			return nil, fmt.Errorf("serve: n=%d: %w", n, err)
 		}
-		entries = append(entries, ents...)
 		if logf != nil {
-			logf("verdictgen: n=%d: %d patterns (total %d)", n, len(ents), len(entries))
+			logf("verdictgen: n=%d: %d patterns (total %d)", n, (len(payload)-before)/tableRecordSize, len(payload)/tableRecordSize)
 		}
 	}
-	offsets = append(offsets, len(entries))
-	return entries, offsets, nil
+	var b bytes.Buffer
+	if _, err := artifact.Write(&b, TableKind, [2]uint32{uint32(minN), uint32(maxN)}, payload); err != nil {
+		return nil, err
+	}
+	if _, err := decodeTable(b.Bytes()); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
 }
 
-// computeN computes the n-robot rows: three sweeps over the same
-// connected source, aggregated per pattern index.
-func computeN(ctx context.Context, n, workers int, cache *core.Memo) ([]Entry, error) {
+// computeN appends the n-robot rows, in ascending key order, to
+// payload: three sweeps over the same connected source, aggregated per
+// pattern index.
+func computeN(ctx context.Context, n, workers int, cache *core.Memo, payload []byte) ([]byte, error) {
 	src := sweep.Connected(n)
 	count := src.Count()
 	type patAgg struct {
@@ -135,51 +135,15 @@ func computeN(ctx context.Context, n, workers int, cache *core.Memo) ([]Entry, e
 		return nil, fmt.Errorf("adversary sweep: %w", err)
 	}
 
-	entries := make([]Entry, count)
 	for i := range aggs {
 		a := &aggs[i]
 		rec, err := checkExact(a.status, a.rounds, a.moves, a.robust, a.adv, a.wkind, a.depth)
 		if err != nil {
 			return nil, fmt.Errorf("pattern %d: %w", i, err)
 		}
-		entries[i] = Entry{Key: a.key, Rec: rec}
+		payload = binary.LittleEndian.AppendUint64(payload, a.key.Hi)
+		payload = binary.LittleEndian.AppendUint64(payload, a.key.Lo)
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(rec))
 	}
-	return entries, nil
-}
-
-// RenderTable renders the generated-file source for the given entries —
-// gofmt'd, byte-deterministic, so regeneration either reproduces the
-// committed file exactly or the diff is the finding.
-func RenderTable(minN, maxN int, offsets []int, entries []Entry) ([]byte, error) {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, `// Code generated by cmd/verdictgen; DO NOT EDIT.
-
-package serve
-
-// verdictTableSeed holds the precomputed verdict Record of every
-// connected pattern with verdictTableMinN <= n <= verdictTableMaxN,
-// ordered by robot count ascending then enumeration order within each
-// n. Each row is the pattern's exact translation-invariant
-// config.Key128 (Hi, Lo) and its packed Record (see record.go): the
-// deterministic FSYNC outcome, gathered-schedule count over SSYNC
-// seeds 1..TableSchedules, and the solver-only exact defeasibility
-// verdict with its witness kind and depth. Regenerate with:
-//
-//	go generate ./internal/serve
-const (
-	verdictTableMinN = %d
-	verdictTableMaxN = %d
-)
-
-// verdictTableOffsets[i] is the index of the first entry with
-// n = verdictTableMinN + i; the final element is len(verdictTableSeed).
-var verdictTableOffsets = %#v
-
-var verdictTableSeed = []verdictEntry{
-`, minN, maxN, offsets)
-	for _, e := range entries {
-		fmt.Fprintf(&b, "\t{%#x, %#x, %#x},\n", e.Key.Hi, e.Key.Lo, uint64(e.Rec))
-	}
-	b.WriteString("}\n")
-	return format.Source(b.Bytes())
+	return payload, nil
 }

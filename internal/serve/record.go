@@ -9,8 +9,8 @@ import (
 // Record is one pattern's complete packed verdict: everything the repo
 // has decided about the pattern — FSYNC outcome, SSYNC robustness,
 // exact defeasibility and its witness shape — in a single uint64, so
-// the generated verdict table is one flat map[Key128]uint64 and the hot
-// lookup path moves no memory and allocates nothing.
+// the generated verdict table is flat (Key128, uint64) records and the
+// hot lookup path moves no memory and allocates nothing.
 //
 // Layout (low to high bits):
 //

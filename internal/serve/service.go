@@ -3,11 +3,12 @@
 // verdict queries — FSYNC outcome, SSYNC robustness, exact
 // defeasibility — with a two-tier strategy:
 //
-//   - Hot path: a generated table (verdict_table_gen.go, built by
-//     cmd/verdictgen from the same engines) maps the exact
-//     translation-invariant config.Key128 of every connected pattern
-//     with n ≤ 8 to a packed Record. A covered query is one map lookup:
-//     O(1), allocation-free, no engine runs at all.
+//   - Hot path: a generated table (verdicts.bin, built by
+//     cmd/verdictgen from the same engines and embedded in the binary)
+//     maps the exact translation-invariant config.Key128 of every
+//     connected pattern with n ≤ 8 to a packed Record. It is verified
+//     once on first use; a covered query is then one binary search over
+//     its sorted records: allocation-free, no engine runs at all.
 //
 //   - Miss path: anything the table does not cover — n ≥ 9 patterns,
 //     relaxed-space (disconnected) starts, non-default algorithms — is
@@ -22,7 +23,7 @@
 // in-process.
 package serve
 
-//go:generate go run repro/cmd/verdictgen -out verdict_table_gen.go
+//go:generate go run repro/cmd/verdictgen -out verdicts.bin
 
 import (
 	"context"
@@ -222,9 +223,9 @@ func (s *Service) SolveCount(algName string) int64 {
 
 // Verdict answers one query: the complete packed verdict for cfg under
 // the named algorithm ("" = DefaultAlg). The hot path — a table-covered
-// pattern under the default algorithm — is one map lookup and performs
-// no allocation (benchmark-asserted); misses run the live engines
-// behind per-key single-flight.
+// pattern under the default algorithm — is one binary search over the
+// table and performs no allocation (benchmark-asserted); misses run the
+// live engines behind per-key single-flight.
 func (s *Service) Verdict(ctx context.Context, algName string, cfg config.Config) (Record, Source, error) {
 	s.met.Requests.Inc()
 	if algName == "" {

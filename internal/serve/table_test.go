@@ -7,12 +7,14 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/enumerate"
 	"repro/internal/sim"
 )
 
 // TestTableShape: the committed table covers exactly the known
-// connected pattern counts for every n it claims.
+// connected pattern counts for every n it claims, and the per-n row
+// ranges derived from those counts line up with the sorted records.
 func TestTableShape(t *testing.T) {
 	minN, maxN := TableBounds()
 	if minN != 1 || maxN != 8 {
@@ -27,6 +29,18 @@ func TestTableShape(t *testing.T) {
 		if got, want := hi-lo, enumerate.KnownCounts[n]; got != want {
 			t.Errorf("n=%d: %d entries, want %d", n, got, want)
 		}
+		// The first and last key of the range decode to exactly n
+		// robots: the KnownCounts-derived offsets match the records.
+		for _, i := range []int{lo, hi - 1} {
+			k, _ := TableEntry(i)
+			c, err := config.FromKey128(k)
+			if err != nil {
+				t.Fatalf("n=%d: entry %d key does not decode: %v", n, i, err)
+			}
+			if c.Len() != n {
+				t.Errorf("n=%d: entry %d decodes to %d robots", n, i, c.Len())
+			}
+		}
 		total += hi - lo
 	}
 	if total != TableLen() {
@@ -35,7 +49,7 @@ func TestTableShape(t *testing.T) {
 	if _, _, ok := TableRange(9); ok {
 		t.Fatal("TableRange(9) claims coverage beyond the table")
 	}
-	// Keys are unique: the serving map must not lose entries.
+	// Keys are unique: a binary search must find every entry.
 	seen := make(map[[2]uint64]bool, TableLen())
 	for i := 0; i < TableLen(); i++ {
 		k, _ := TableEntry(i)
@@ -151,52 +165,44 @@ func TestTableFixedPointSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regeneration sweep: skipped under -short")
 	}
-	entries, offsets, err := ComputeEntries(context.Background(), 1, 7, runtime.GOMAXPROCS(0), nil)
+	data, err := GenerateTable(context.Background(), 1, 7, runtime.GOMAXPROCS(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, _ := TableRange(7)
-	_ = lo
-	if len(entries) != hi {
-		t.Fatalf("recomputed %d entries for n <= 7, committed table has %d", len(entries), hi)
+	got, err := decodeTable(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, e := range entries {
+	_, hi, _ := TableRange(7)
+	if len(got.keys) != hi {
+		t.Fatalf("recomputed %d entries for n <= 7, committed table has %d", len(got.keys), hi)
+	}
+	for i := range got.keys {
 		k, rec := TableEntry(i)
-		if k != e.Key || rec != e.Rec {
+		if k != got.keys[i] || rec != got.recs[i] {
 			t.Fatalf("entry %d diverges: recomputed (%#x,%#x)=%#x, committed (%#x,%#x)=%#x",
-				i, e.Key.Hi, e.Key.Lo, uint64(e.Rec), k.Hi, k.Lo, uint64(rec))
-		}
-	}
-	for i, off := range offsets[:len(offsets)-1] {
-		wlo, _, _ := TableRange(1 + i)
-		if off != wlo {
-			t.Fatalf("offset[%d] = %d, committed %d", i, off, wlo)
+				i, got.keys[i].Hi, got.keys[i].Lo, uint64(got.recs[i]), k.Hi, k.Lo, uint64(rec))
 		}
 	}
 }
 
 // TestTableFixedPointFull regenerates the whole n ≤ 8 table — the E14
-// adversary workload included — renders it, and byte-compares against
-// the committed generated file. Heavy (≈30 s); opt in with
-// VERDICT_HEAVY=1.
+// adversary workload included — and byte-compares it against the
+// committed verdicts.bin. Heavy (≈30 s); opt in with VERDICT_HEAVY=1.
 func TestTableFixedPointFull(t *testing.T) {
 	if os.Getenv("VERDICT_HEAVY") == "" {
 		t.Skip("set VERDICT_HEAVY=1 to regenerate and byte-compare the full n<=8 table")
 	}
-	entries, offsets, err := ComputeEntries(context.Background(), 1, 8, runtime.GOMAXPROCS(0), t.Logf)
+	data, err := GenerateTable(context.Background(), 1, 8, runtime.GOMAXPROCS(0), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := RenderTable(1, 8, offsets, entries)
+	committed, err := os.ReadFile("verdicts.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed, err := os.ReadFile("verdict_table_gen.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(src, committed) {
-		t.Fatalf("regenerated table differs from committed verdict_table_gen.go (%d vs %d bytes); run go generate ./internal/serve",
-			len(src), len(committed))
+	if !bytes.Equal(data, committed) {
+		t.Fatalf("regenerated table differs from committed verdicts.bin (%d vs %d bytes); run go generate ./internal/serve",
+			len(data), len(committed))
 	}
 }

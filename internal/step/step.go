@@ -40,6 +40,7 @@ package step
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -270,7 +271,7 @@ func DetectCollision(robots, targets []grid.Coord, moving []bool) *CollisionInfo
 func Successor(targets []grid.Coord, dst []grid.Coord) []grid.Coord {
 	dst = append(dst, targets...)
 	insertionSortCoords(dst)
-	return dedupSortedCoords(dst)
+	return slices.Compact(dst)
 }
 
 // IndexSorted returns the index of v in the sorted node list, or -1.
@@ -336,18 +337,4 @@ func insertionSortCoords(cs []grid.Coord) {
 		}
 		cs[j+1] = v
 	}
-}
-
-// dedupSortedCoords removes adjacent duplicates in place.
-func dedupSortedCoords(cs []grid.Coord) []grid.Coord {
-	if len(cs) == 0 {
-		return cs
-	}
-	out := cs[:1]
-	for _, c := range cs[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
 }

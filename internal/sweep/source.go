@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/config"
@@ -206,14 +207,24 @@ func (s *IndexSet) Add(ix *enumerate.Index) {
 	s.byN[ix.N()] = ix
 }
 
-// Load reads, verifies, and registers an index file.
-func (s *IndexSet) Load(path string) error {
-	ix, err := enumerate.LoadIndex(path)
-	if err != nil {
-		return err
+// LoadIndexes reads, verifies, and registers every index file of a
+// comma-separated list; an empty list yields the nil set.
+func LoadIndexes(list string) (*IndexSet, error) {
+	var s *IndexSet
+	for _, path := range strings.Split(list, ",") {
+		if path = strings.TrimSpace(path); path == "" {
+			continue
+		}
+		ix, err := enumerate.LoadIndex(path)
+		if err != nil {
+			return nil, err
+		}
+		if s == nil {
+			s = &IndexSet{}
+		}
+		s.Add(ix)
 	}
-	s.Add(ix)
-	return nil
+	return s, nil
 }
 
 // SourceFor returns the indexed source for the descriptor's sweep

@@ -30,7 +30,9 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -283,6 +285,29 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, " (game states %d, max strategy depth %d)", r.SolverStates, r.MaxWitnessDepth)
 	}
 	return b.String()
+}
+
+// Print writes the report as the CLIs show it: indented JSON, or the
+// summary plus, for multi-schedule sweeps, the robustness histogram.
+func (r *Report) Print(w io.Writer, asJSON bool) error {
+	if asJSON {
+		data, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintln(w, string(data))
+		return err
+	}
+	fmt.Fprintln(w, r)
+	if r.Schedules > 1 {
+		fmt.Fprintln(w, "\nrobustness histogram (patterns by schedules gathered):")
+		for k, count := range r.Robust {
+			if count > 0 {
+				fmt.Fprintf(w, "%4d/%d: %6d\n", k, r.Schedules, count)
+			}
+		}
+	}
+	return nil
 }
 
 // SSYNC is a Spec.Scheduler factory selecting the seeded random-subset

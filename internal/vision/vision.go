@@ -7,7 +7,7 @@ package vision
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/config"
@@ -83,12 +83,7 @@ func (v View) Robots() []grid.Coord {
 	for o := range v.occupied {
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Q != out[j].Q {
-			return out[i].Q < out[j].Q
-		}
-		return out[i].R < out[j].R
-	})
+	slices.SortFunc(out, grid.Coord.Compare)
 	return out
 }
 
