@@ -21,7 +21,7 @@
 //	                  no-reconstruction, paper, three, idle, greedy)
 //	-workers N        decide patterns in parallel over a shared
 //	                  concurrent solver memo (0 = GOMAXPROCS; default
-//	                  1, the sequential executor). Verdicts, witnesses
+//	                  1, one worker in source order). Verdicts, witnesses
 //	                  and the summary are identical at any worker
 //	                  count; only the per-pattern "states" counts
 //	                  depend on which worker reached a shared game

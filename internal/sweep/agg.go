@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 
+	"repro/internal/adversary"
 	"repro/internal/sim"
 )
 
@@ -25,7 +26,9 @@ type Meta struct {
 // distributed coordinator (internal/dist) feeds it the merged worker
 // streams, which is what makes a sharded report bit-identical to a
 // single-process one by construction rather than by parallel
-// bookkeeping.
+// bookkeeping. Adversary cases (those carrying a Verdict) also fill the
+// verdict partition, ByMethod and the witness-depth maximum, and their
+// rounds/moves aggregates describe the witness replays of defeats.
 //
 // Absorption is commutative at pattern granularity: every aggregate is
 // either a commutative fold over runs (status counts, sums, maxima) or
@@ -41,7 +44,7 @@ type Aggregator struct {
 	keep              bool
 	inPattern         int // runs absorbed of the currently open pattern group
 	gatheredOfPattern int
-	gathered          int
+	measured          int // runs the rounds/moves aggregates describe
 	sumRounds         int
 	sumMoves          int
 	absorbed          int
@@ -78,18 +81,33 @@ func (a *Aggregator) Absorb(cr CaseResult) {
 	r := a.report
 	r.ByStatus[cr.Status]++
 	if cr.Status == sim.Gathered {
-		a.gathered++
 		a.gatheredOfPattern++
-		a.sumRounds += cr.Rounds
-		a.sumMoves += cr.Moves
-		if cr.Rounds > r.MaxRounds {
-			r.MaxRounds = cr.Rounds
-		}
-		if cr.Moves > r.MaxMoves {
-			r.MaxMoves = cr.Moves
-		}
 	} else {
 		r.ByClass[cr.Class]++
+	}
+	// Rounds and moves describe gathered runs, except in adversary mode,
+	// where safe verdicts involve no run and defeats have a replay.
+	measured := cr.Status == sim.Gathered
+	if v := cr.Verdict; v != nil {
+		if r.ByMethod == nil {
+			r.ByMethod = map[string]int{}
+		}
+		r.ByMethod[v.Method]++
+		switch v.Kind {
+		case adversary.Safe:
+			r.SafePatterns++
+		case adversary.Defeatable:
+			r.Defeatable++
+			r.MaxWitnessDepth = max(r.MaxWitnessDepth, v.Depth)
+		}
+		measured = v.Kind == adversary.Defeatable
+	}
+	if measured {
+		a.measured++
+		a.sumRounds += cr.Rounds
+		a.sumMoves += cr.Moves
+		r.MaxRounds = max(r.MaxRounds, cr.Rounds)
+		r.MaxMoves = max(r.MaxMoves, cr.Moves)
 	}
 	a.absorbed++
 	a.inPattern++
@@ -111,9 +129,9 @@ func (a *Aggregator) Absorbed() int { return a.absorbed }
 // callers normally finish exactly once, after the last case.
 func (a *Aggregator) Finish() *Report {
 	r := a.report
-	if a.gathered > 0 {
-		r.MeanRounds = float64(a.sumRounds) / float64(a.gathered)
-		r.MeanMoves = float64(a.sumMoves) / float64(a.gathered)
+	if a.measured > 0 {
+		r.MeanRounds = float64(a.sumRounds) / float64(a.measured)
+		r.MeanMoves = float64(a.sumMoves) / float64(a.measured)
 	}
 	return r
 }
@@ -149,6 +167,9 @@ func (a *Aggregator) Snapshot() (*AggState, error) {
 		return nil, fmt.Errorf("sweep: snapshot mid-pattern (%d of %d schedules absorbed)", a.inPattern, a.m)
 	}
 	r := a.report
+	if r.ByMethod != nil {
+		return nil, fmt.Errorf("sweep: snapshot of an adversary aggregation (its verdict partition is not part of AggState)")
+	}
 	s := &AggState{
 		Algorithm: r.Algorithm,
 		Scheduler: r.Scheduler,
@@ -163,7 +184,7 @@ func (a *Aggregator) Snapshot() (*AggState, error) {
 		MaxMoves:  r.MaxMoves,
 		SumRounds: a.sumRounds,
 		SumMoves:  a.sumMoves,
-		Gathered:  a.gathered,
+		Gathered:  a.measured,
 		Absorbed:  a.absorbed,
 	}
 	for k, v := range r.ByStatus {
@@ -208,7 +229,7 @@ func RestoreAggregator(s *AggState) (*Aggregator, error) {
 	a.report.MaxMoves = s.MaxMoves
 	a.sumRounds = s.SumRounds
 	a.sumMoves = s.SumMoves
-	a.gathered = s.Gathered
+	a.measured = s.Gathered
 	a.absorbed = s.Absorbed
 	return a, nil
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/sweep"
 )
 
@@ -136,5 +137,45 @@ func TestRestoreAggregatorRejectsInconsistentState(t *testing.T) {
 	bad.Robust = bad.Robust[:1]
 	if _, err := sweep.RestoreAggregator(&bad); err == nil {
 		t.Fatal("RestoreAggregator accepted a truncated robustness histogram")
+	}
+}
+
+// TestAggregatorAdversaryCases recomputes an adversary sweep's report
+// from its cases by hand: the verdict partition, the method counts, the
+// deepest witness, and rounds/moves aggregates over the witness replays
+// of defeats only. Such an aggregation refuses to snapshot, because the
+// checkpoint state has no verdict fields.
+func TestAggregatorAdversaryCases(t *testing.T) {
+	rep, err := sweep.Run(context.Background(), sweep.Spec{N: 6, Adversary: &adversary.Options{}, KeepCases: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defeats, safe, depth, sumRounds, maxRounds, sumMoves, maxMoves int
+	for _, cr := range rep.Cases {
+		if cr.Verdict.Kind == adversary.Safe {
+			safe++
+			continue
+		}
+		defeats++
+		depth = max(depth, cr.Verdict.Depth)
+		sumRounds += cr.Rounds
+		sumMoves += cr.Moves
+		maxRounds = max(maxRounds, cr.Rounds)
+		maxMoves = max(maxMoves, cr.Moves)
+	}
+	if rep.Defeatable != defeats || rep.SafePatterns != safe || rep.ByMethod["solver"] != defeats+safe ||
+		rep.MaxWitnessDepth != depth || rep.MaxRounds != maxRounds || rep.MaxMoves != maxMoves ||
+		rep.MeanRounds != float64(sumRounds)/float64(defeats) || rep.MeanMoves != float64(sumMoves)/float64(defeats) {
+		t.Fatalf("adversary report %s does not match its cases: %d defeats, %d safe, depth %d, rounds max %d sum %d, moves max %d sum %d",
+			rep, defeats, safe, depth, maxRounds, sumRounds, maxMoves, sumMoves)
+	}
+	if rep.Robust[0] != defeats || rep.Robust[1] != safe {
+		t.Fatalf("robustness %v, want [%d %d]", rep.Robust, defeats, safe)
+	}
+
+	agg := sweep.NewAggregator(sweep.Meta{Scheduler: "adversary", Robots: 6, Patterns: 1}, false)
+	agg.Absorb(rep.Cases[0])
+	if _, err := agg.Snapshot(); err == nil {
+		t.Fatal("an adversary aggregation snapshotted without its verdict partition")
 	}
 }

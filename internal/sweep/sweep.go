@@ -19,10 +19,13 @@
 //
 // Execution is streaming: Stream delivers every CaseResult to a visitor
 // in source order (independent of worker count) and retains none of
-// them unless Spec.KeepCases is set, so beyond the Source's own storage
+// them unless Spec.KeepCases is set. Runs travel between the dispatcher,
+// the workers and the in-order collector in batches of 16, at most
+// 4 × Workers batches at a time, so beyond the Source's own storage
 // (ConnectedWithin streams its generation; Connected materializes its
-// enumeration) a sweep holds O(Workers) configurations regardless of
-// sweep size. Failures carry a
+// enumeration) a sweep holds O(Workers) batches of configurations
+// regardless of sweep size. Adversary-mode sweeps run on the same
+// executor and aggregator. Failures carry a
 // Classify taxonomy (status × initial-diameter bucket) toward the §V
 // open problem of characterizing where the seven-robot construction
 // stops carrying.
@@ -103,19 +106,21 @@ type Spec struct {
 	// several compatible sweeps carries the whole graph across them.
 	OutcomeMemo *memo.Outcomes
 	// KeepCases retains every CaseResult in Report.Cases. Off by
-	// default: a sweep then holds O(Workers) configurations total,
-	// which is what makes the ≈2.6 M-pattern relaxed space sweepable.
+	// default: a sweep then holds O(Workers) batches of configurations
+	// total, which is what makes the ≈2.6 M-pattern relaxed space
+	// sweepable.
 	KeepCases bool
 	// Progress, when non-nil, is called after every in-order delivered
 	// case with the number of runs completed and the total. It is
 	// called from the aggregation goroutine, in order, never
 	// concurrently.
 	Progress func(done, total int)
-	// Metrics, when non-nil, receives the sweep's throughput series:
-	// sweep_runs_total counts delivered runs, sweep_pending_high_water
-	// tracks the reorder-buffer high-water mark (the dispatch window's
-	// constant-memory claim, live). Purely observational — reports are
-	// bit-identical with or without it.
+	// Metrics, when non-nil, receives the sweep's throughput series,
+	// in every mode: sweep_runs_total counts delivered runs,
+	// sweep_pending_high_water tracks the reorder buffer's high-water
+	// mark in batches (the dispatch window's constant-memory claim,
+	// live: at most 4 × Workers batches). Purely observational —
+	// reports are bit-identical with or without it.
 	Metrics *metrics.Registry
 	// Adversary switches the sweep from scheduler runs to exact
 	// adversarial decision (experiments E13/E14): each pattern is
@@ -123,15 +128,15 @@ type Spec struct {
 	// the CaseResult carries the Verdict (defeatable with a verified
 	// witness schedule, or safe). Scheduler, Seeds and MaxRounds are
 	// ignored (the adversary is universally quantified over schedules).
-	// Workers applies: when it is 1 or unset, decisions run
-	// single-threaded in source order, which keeps the per-pattern
-	// state counts deterministic; when it is larger, patterns decide in
-	// parallel over one concurrent solver memo — verdicts, witnesses
-	// and the report are bit-identical to the sequential run (the
-	// memo counts distinct states, so SolverStates agrees too), and
-	// only the per-pattern state counts depend on scheduling (the whole
-	// n = 8 space decides in about a second this way). Alg and Goal
-	// default from the Spec when unset in the Options.
+	// Workers applies, but defaults to 1 here: one worker decides in
+	// source order, which keeps the per-pattern state counts
+	// deterministic; with more, patterns decide in parallel over one
+	// concurrent solver memo — verdicts, witnesses and the report are
+	// bit-identical to the one-worker run (the memo counts distinct
+	// states, so SolverStates agrees too), and only the per-pattern
+	// state counts depend on scheduling (the whole n = 8 space decides
+	// in about a second this way). Alg and Goal default from the Spec
+	// when unset in the Options.
 	Adversary *adversary.Options
 }
 
@@ -206,12 +211,13 @@ type Report struct {
 	SolverStates    int            `json:"solver_states,omitempty"`
 	MaxWitnessDepth int            `json:"max_witness_depth,omitempty"`
 	// PeakPending is the high-water mark of the in-order delivery
-	// buffer — the number of configurations the engine held at once
-	// beyond the workers' own. The dispatch window bounds it at
-	// 4 × Workers, which is the constant-memory claim; the tests assert
-	// it. It is a scheduling-dependent diagnostic, not a result, so it
-	// is excluded from JSON to keep serialized reports bit-identical
-	// across runs and worker counts.
+	// buffer, in batches of up to 16 runs: how many completed batches
+	// the engine held at once waiting for an earlier one. The dispatch
+	// window bounds it at 4 × Workers batches (64 × Workers runs),
+	// which is the constant-memory claim; the tests assert it. It is a
+	// scheduling-dependent diagnostic, not a result, so it is excluded
+	// from JSON to keep serialized reports bit-identical across runs
+	// and worker counts.
 	PeakPending int `json:"-"`
 	// Memo is the outcome store's counter deltas over this sweep (zero
 	// without Spec.OutcomeMemo): how many store consultations hit, how
@@ -334,25 +340,49 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	return Stream(ctx, spec, nil)
 }
 
-// job is one (pattern, seed) run handed to a worker.
-type job struct {
-	index   int
-	pattern int
-	seed    int64
-	initial config.Config
+// batchSize is the number of consecutive runs that travel between the
+// dispatcher, a worker and the collector as one unit: one channel
+// receive and one send move sixteen runs, where a run of the n = 10
+// FSYNC sweep takes about 5 µs. Measured on 2 vCPUs, 16 swept n = 10
+// as fast as 64 and faster than 4, while 64 raised the peak RSS of
+// the eight-seed SSYNC n = 7 sweep by about a fifth.
+const batchSize = 16
+
+// batch is a contiguous slice of the sweep's runs: cases[k] is run
+// seq*batchSize + k. The dispatcher fills in each case's Index,
+// Pattern, Initial and Seed, and a worker completes the rest in place.
+type batch struct {
+	seq   int
+	cases []CaseResult
+	// err is the step error that ended the batch early; cases then
+	// holds only the runs before the failing one.
+	err error
+}
+
+// plan is what one kind of sweep hands the executor: the report's
+// header, the seeds each pattern runs under, a per-worker step that
+// completes one case in place, and a hook that adds the sweep's
+// diagnostics to the finished report.
+type plan struct {
+	meta    Meta
+	seeds   []int64
+	newStep func() func(*CaseResult) error
+	finish  func(*Report)
 }
 
 // Stream executes the sweep, delivering every CaseResult to visit in
-// increasing Index order before aggregating it. The visitor runs on the
-// aggregation goroutine — never concurrently — and a non-nil error from
-// it cancels the sweep and is returned. On context cancellation Stream
-// stops dispatching, lets in-flight runs finish, and returns the
+// increasing Index order right after aggregating it. The visitor runs
+// on the aggregation goroutine — never concurrently — and a non-nil
+// error from it cancels the sweep and is returned; no later case is
+// aggregated or delivered. On context cancellation Stream stops
+// dispatching, lets in-flight batches finish, and returns the
 // context's error; no goroutines are leaked either way.
 //
 // Memory is constant in the sweep size: beyond the Source itself,
-// Stream holds the workers' in-flight runs plus a bounded reorder
-// buffer (Report.PeakPending records its high-water mark), and retains
-// no cases unless Spec.KeepCases is set.
+// Stream holds at most 4 × Workers batches of runs — in the workers'
+// hands, queued, or in the reorder buffer (Report.PeakPending records
+// the buffer's high-water mark) — and retains no cases unless
+// Spec.KeepCases is set.
 func Stream(ctx context.Context, spec Spec, visit func(CaseResult) error) (*Report, error) {
 	if spec.N <= 0 {
 		spec.N = 7
@@ -366,15 +396,45 @@ func Stream(ctx context.Context, spec Spec, visit func(CaseResult) error) (*Repo
 		}
 		spec.Source = Connected(spec.N)
 	}
+	var p plan
 	if spec.Adversary != nil {
-		// Adversary mode defaults to the sequential executor (Workers
-		// unset), which keeps per-pattern solver state counts
-		// deterministic; parallelism is an explicit Workers > 1.
-		return streamAdversary(ctx, spec, visit)
+		if spec.N > adversary.MaxRobots {
+			// Fail fast: the default Source would otherwise enumerate an
+			// astronomically large space before the first decision could
+			// report the envelope error.
+			return nil, fmt.Errorf("sweep: adversary mode supports at most %d robots (n=%d)", adversary.MaxRobots, spec.N)
+		}
+		// Adversary mode defaults to one worker, which keeps the
+		// per-pattern solver state counts deterministic; parallelism is
+		// an explicit Workers > 1.
+		if spec.Workers <= 0 {
+			spec.Workers = 1
+		}
+		p = adversaryPlan(spec)
+	} else {
+		if spec.Workers <= 0 {
+			spec.Workers = runtime.GOMAXPROCS(0)
+		}
+		p = runPlan(spec)
 	}
-	if spec.Workers <= 0 {
-		spec.Workers = runtime.GOMAXPROCS(0)
+	// All aggregation goes through the shared Aggregator — the same
+	// arithmetic the distributed coordinator (internal/dist) replays
+	// over merged worker streams, so sharded reports are bit-identical
+	// to this loop's by construction.
+	agg := NewAggregator(p.meta, spec.KeepCases)
+	peak, err := execute(ctx, spec, p, agg, visit)
+	if err != nil {
+		return nil, err
 	}
+	report := agg.Finish()
+	report.PeakPending = peak
+	p.finish(report)
+	return report, nil
+}
+
+// runPlan runs every (pattern, seed) pair through sim.Run (FSYNC) or
+// sched.Run (any other scheduler).
+func runPlan(spec Spec) plan {
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{0}
@@ -387,184 +447,62 @@ func Stream(ctx context.Context, spec Spec, visit func(CaseResult) error) (*Repo
 	if spec.Scheduler != nil {
 		schedName = spec.Scheduler(seeds[0]).Name()
 	}
-
-	m := len(seeds)
-	patterns := spec.Source.Count()
-	// All aggregation goes through the shared Aggregator — the same
-	// arithmetic the distributed coordinator (internal/dist) replays
-	// over merged worker streams, so sharded reports are bit-identical
-	// to this loop's by construction.
-	agg := NewAggregator(Meta{
-		Algorithm: alg.Name(),
-		Scheduler: schedName,
-		Robots:    spec.N,
-		Source:    spec.Source.Label(),
-		Patterns:  patterns,
-		Schedules: m,
-	}, spec.KeepCases)
-	total := patterns * m
-
 	// Counter snapshots, not absolute values: the store may arrive warm
 	// from an earlier sweep, and the Report describes this sweep only.
 	var memoBase memo.Stats
 	if spec.OutcomeMemo != nil {
 		memoBase = spec.OutcomeMemo.Stats()
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// The dispatch window is what makes the reorder buffer O(workers):
-	// without it a single slow run lets every other worker race
-	// arbitrarily far ahead, and the pending map holds the whole gap.
-	// The dispatcher takes a token per job, the collector returns it
-	// when the case is delivered in order, so completion can outrun
-	// delivery by at most the window.
-	window := 4 * spec.Workers
-	tokens := make(chan struct{}, window)
-
-	jobs := make(chan job, spec.Workers)
-	results := make(chan CaseResult, spec.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < spec.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	return plan{
+		meta: Meta{
+			Algorithm: alg.Name(),
+			Scheduler: schedName,
+			Robots:    spec.N,
+			Source:    spec.Source.Label(),
+			Patterns:  spec.Source.Count(),
+			Schedules: len(seeds),
+		},
+		seeds: seeds,
+		newStep: func() func(*CaseResult) error {
 			// One pooled cycle set per worker: a worker's runs are
 			// sequential, so reuse is safe and removes the largest
 			// per-run allocation.
 			var cycles config.PatternSet
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without running
-				}
-				opts := sim.Options{
-					MaxRounds:        spec.MaxRounds,
-					DetectCycles:     true,
-					StopOnDisconnect: true,
-					Goal:             spec.Goal,
-					CycleSet:         &cycles,
-					Outcomes:         spec.OutcomeMemo,
-				}
+			opts := sim.Options{
+				MaxRounds:        spec.MaxRounds,
+				DetectCycles:     true,
+				StopOnDisconnect: true,
+				Goal:             spec.Goal,
+				CycleSet:         &cycles,
+				Outcomes:         spec.OutcomeMemo,
+			}
+			return func(cr *CaseResult) error {
 				var res sim.Result
 				if spec.Scheduler == nil {
-					res = sim.Run(alg, j.initial, opts)
+					res = sim.Run(alg, cr.Initial, opts)
 				} else {
-					res = sched.Run(alg, j.initial, spec.Scheduler(j.seed), opts)
+					res = sched.Run(alg, cr.Initial, spec.Scheduler(cr.Seed), opts)
 				}
-				cr := CaseResult{
-					Index:   j.index,
-					Pattern: j.pattern,
-					Initial: j.initial,
-					Seed:    j.seed,
-					Status:  res.Status,
-					Rounds:  res.Rounds,
-					Moves:   res.Moves,
-					Class:   Classify(j.initial, res.Status),
-				}
-				select {
-				case results <- cr:
-				case <-ctx.Done():
-				}
+				cr.Status, cr.Rounds, cr.Moves = res.Status, res.Rounds, res.Moves
+				cr.Class = Classify(cr.Initial, res.Status)
+				return nil
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	go func() {
-		defer close(jobs)
-		spec.Source.Each(func(i int, c config.Config) bool {
-			for si, s := range seeds {
-				select {
-				case tokens <- struct{}{}:
-				case <-ctx.Done():
-					return false
-				}
-				select {
-				case jobs <- job{index: i*m + si, pattern: i, seed: s, initial: c}:
-				case <-ctx.Done():
-					return false
-				}
+		},
+		finish: func(r *Report) {
+			if spec.OutcomeMemo != nil {
+				r.Memo = spec.OutcomeMemo.Stats().Sub(memoBase)
 			}
-			return true
-		})
-	}()
-
-	// Single-goroutine in-order aggregation: workers finish out of
-	// order, the pending buffer reorders them. Its size is bounded by
-	// the number of runs in flight (workers + channel capacities), so
-	// memory stays constant however large the sweep.
-	pending := make(map[int]CaseResult, spec.Workers)
-	next := 0
-	peak := 0
-	// Nil-safe registry accessors: without Spec.Metrics these resolve
-	// to live throwaway metrics, so the loop stays branch-free.
-	runsMetric := spec.Metrics.Counter("sweep_runs_total")
-	pendingHW := spec.Metrics.Gauge("sweep_pending_high_water")
-	var verr error
-	for cr := range results {
-		if verr != nil || ctx.Err() != nil {
-			continue // drain so the workers can exit
-		}
-		pending[cr.Index] = cr
-		if len(pending) > peak {
-			peak = len(pending)
-			pendingHW.SetMax(int64(peak))
-		}
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			<-tokens // return the dispatch-window slot
-			runsMetric.Inc()
-			agg.Absorb(r)
-			if visit != nil {
-				if err := visit(r); err != nil {
-					verr = err
-					cancel()
-					break
-				}
-			}
-			if spec.Progress != nil {
-				spec.Progress(next, total)
-			}
-		}
+		},
 	}
-	if verr != nil {
-		return nil, verr
-	}
-	if err := ctx.Err(); err != nil && next < total {
-		return nil, err
-	}
-	report := agg.Finish()
-	report.PeakPending = peak
-	if spec.OutcomeMemo != nil {
-		report.Memo = spec.OutcomeMemo.Stats().Sub(memoBase)
-	}
-	return report, nil
 }
 
-// streamAdversary executes an adversary-mode sweep: one exact decision
-// per pattern over one shared solver memo. With Workers unset (or 1)
-// the decisions run single-threaded in source order, which keeps the
-// per-pattern state counts deterministic; Workers > 1 decides patterns
-// in parallel over the solver's concurrent game graph, with the same
-// in-order delivery and
-// aggregation machinery as the scheduler sweeps. Rounds/Moves of
-// defeatable cases come from the verified witness replay, so the usual
-// aggregates describe the defeats.
-func streamAdversary(ctx context.Context, spec Spec, visit func(CaseResult) error) (*Report, error) {
-	if spec.N > adversary.MaxRobots {
-		// Fail fast: the default Source would otherwise enumerate an
-		// astronomically large space before the first decision could
-		// report the envelope error.
-		return nil, fmt.Errorf("sweep: adversary mode supports at most %d robots (n=%d)", adversary.MaxRobots, spec.N)
-	}
+// adversaryPlan decides every pattern exactly over one shared solver
+// memo; the solver's game graph is concurrent, so every worker decides
+// on the one Adversary. Verdicts, witnesses and the report do not
+// depend on the worker count. Only the per-pattern state counts
+// (Verdict.States) do: they say which worker reached a shared state
+// first, so a one-worker sweep keeps them deterministic.
+func adversaryPlan(spec Spec) plan {
 	opts := *spec.Adversary
 	if opts.Alg == nil {
 		opts.Alg = spec.Alg
@@ -579,65 +517,39 @@ func streamAdversary(ctx context.Context, spec Spec, visit func(CaseResult) erro
 		opts.Alg = core.Memoize(opts.Alg, spec.Cache)
 	}
 	adv := adversary.New(opts)
-	patterns := spec.Source.Count()
-	agg := &verdictAgg{
-		spec:  spec,
-		visit: visit,
-		runs:  spec.Metrics.Counter("sweep_runs_total"),
-		report: &Report{
+	return plan{
+		meta: Meta{
 			Algorithm: opts.Alg.Name(),
 			Scheduler: "adversary",
 			Robots:    spec.N,
 			Source:    spec.Source.Label(),
-			Patterns:  patterns,
+			Patterns:  spec.Source.Count(),
 			Schedules: 1,
-			Total:     patterns,
-			ByStatus:  map[sim.Status]int{},
-			ByClass:   map[Class]int{},
-			ByMethod:  map[string]int{},
-			Robust:    make([]int, 2),
+		},
+		seeds: []int64{0},
+		newStep: func() func(*CaseResult) error {
+			return func(cr *CaseResult) error {
+				verdict, err := adv.Decide(cr.Initial)
+				if err != nil {
+					return fmt.Errorf("pattern %d (%s): %w", cr.Pattern, cr.Initial.Key(), err)
+				}
+				setVerdict(cr, verdict)
+				return nil
+			}
+		},
+		finish: func(r *Report) {
+			r.SolverStates = adv.StatesExplored()
+			r.Memo = adv.MemoStats()
 		},
 	}
-
-	var cerr error
-	if spec.Workers > 1 {
-		cerr = runAdversaryParallel(ctx, spec, adv, agg)
-	} else {
-		spec.Source.Each(func(i int, c config.Config) bool {
-			if err := ctx.Err(); err != nil {
-				cerr = err
-				return false
-			}
-			verdict, err := adv.Decide(c)
-			if err != nil {
-				cerr = fmt.Errorf("pattern %d (%s): %w", i, c.Key(), err)
-				return false
-			}
-			if cerr = agg.absorb(verdictCase(i, c, verdict)); cerr != nil {
-				return false
-			}
-			return true
-		})
-	}
-	report := agg.report
-	report.SolverStates = adv.StatesExplored()
-	report.Memo = adv.MemoStats()
-	if cerr != nil {
-		return nil, cerr
-	}
-	if agg.defeats > 0 {
-		report.MeanRounds = float64(agg.sumRounds) / float64(agg.defeats)
-		report.MeanMoves = float64(agg.sumMoves) / float64(agg.defeats)
-	}
-	return report, nil
 }
 
-// verdictCase maps one decided pattern onto the sweep's case currency:
+// setVerdict maps one decided pattern onto the sweep's case currency:
 // the witness kind's status for defeatable patterns (a forced cycle is
 // a livelock however its bounded replay ends — rounds/moves describe
 // the verified replay) and Gathered for safe ones.
-func verdictCase(i int, c config.Config, verdict adversary.Verdict) CaseResult {
-	cr := CaseResult{Index: i, Pattern: i, Initial: c, Verdict: &verdict}
+func setVerdict(cr *CaseResult, verdict adversary.Verdict) {
+	cr.Verdict = &verdict
 	switch verdict.Kind {
 	case adversary.Safe:
 		cr.Status = sim.Gathered
@@ -646,108 +558,55 @@ func verdictCase(i int, c config.Config, verdict adversary.Verdict) CaseResult {
 		cr.Rounds = verdict.ReplayRounds
 		cr.Moves = verdict.ReplayMoves
 	}
-	cr.Class = Classify(c, cr.Status)
-	return cr
+	cr.Class = Classify(cr.Initial, cr.Status)
 }
 
-// verdictAgg aggregates in-order delivered adversary cases — shared by
-// the sequential and parallel executors, so worker count cannot change
-// what a report means.
-type verdictAgg struct {
-	spec                         Spec
-	report                       *Report
-	visit                        func(CaseResult) error
-	runs                         *metrics.Counter
-	defeats, sumRounds, sumMoves int
-}
-
-func (a *verdictAgg) absorb(cr CaseResult) error {
-	a.runs.Inc()
-	report := a.report
-	switch cr.Verdict.Kind {
-	case adversary.Safe:
-		report.SafePatterns++
-	case adversary.Defeatable:
-		report.Defeatable++
-		if cr.Verdict.Depth > report.MaxWitnessDepth {
-			report.MaxWitnessDepth = cr.Verdict.Depth
-		}
-	}
-	report.ByMethod[cr.Verdict.Method]++
-	report.ByStatus[cr.Status]++
-	if cr.Status == sim.Gathered {
-		report.Robust[1]++
-	} else {
-		report.Robust[0]++
-		report.ByClass[cr.Class]++
-	}
-	// The rounds/moves aggregates describe the witness replays, so
-	// only defeats (which have a replay) contribute.
-	if cr.Verdict.Kind == adversary.Defeatable {
-		a.defeats++
-		a.sumRounds += cr.Rounds
-		a.sumMoves += cr.Moves
-		if cr.Rounds > report.MaxRounds {
-			report.MaxRounds = cr.Rounds
-		}
-		if cr.Moves > report.MaxMoves {
-			report.MaxMoves = cr.Moves
-		}
-	}
-	if a.spec.KeepCases {
-		report.Cases = append(report.Cases, cr)
-	}
-	if a.visit != nil {
-		if err := a.visit(cr); err != nil {
-			return err
-		}
-	}
-	if a.spec.Progress != nil {
-		a.spec.Progress(cr.Index+1, report.Total)
-	}
-	return nil
-}
-
-// runAdversaryParallel is the pattern-parallel adversary executor: the
-// dispatcher streams patterns through a bounded window, every worker
-// decides on the one Adversary (its solver memo is concurrent), and
-// the collector reorders completions so absorption — and therefore the
-// report, the visitor stream, and every witness — is identical to the
-// sequential executor's. Only the
-// per-pattern solver state counts (Verdict.States) depend on
-// scheduling: they say which worker reached a shared state first.
-func runAdversaryParallel(ctx context.Context, spec Spec, adv *adversary.Adversary, agg *verdictAgg) error {
+// execute is the ordered-parallel executor every sweep runs on. The
+// dispatcher cuts the source's runs into contiguous batches, a worker
+// completes a whole batch with the plan's step and hands it back in one
+// channel send, and the collector — the calling goroutine — reorders
+// whole batches, then aggregates, delivers and reports progress one
+// case at a time in Index order. It returns the reorder buffer's
+// high-water mark in batches.
+//
+// The window bounds memory: there are exactly window batch buffers,
+// the dispatcher takes a free one before filling it and the collector
+// frees it once delivered, so completion can outrun delivery by at
+// most the window and steady state allocates nothing per batch.
+func execute(ctx context.Context, spec Spec, p plan, agg *Aggregator, visit func(CaseResult) error) (int, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	window := 4 * spec.Workers
-	tokens := make(chan struct{}, window)
-	jobs := make(chan job, spec.Workers)
-
-	type outcome struct {
-		cr  CaseResult
-		err error
+	m := len(p.seeds)
+	total := p.meta.Patterns * m
+	window := max(1, min(4*spec.Workers, (total+batchSize-1)/batchSize))
+	free := make(chan *batch, window)
+	for range window {
+		free <- &batch{cases: make([]CaseResult, 0, batchSize)}
 	}
-	results := make(chan outcome, spec.Workers)
+	// A batch queued per worker on each side keeps the workers busy
+	// while the dispatcher or the collector is between batches.
+	jobs := make(chan *batch, spec.Workers)
+	results := make(chan *batch, spec.Workers)
+
 	var wg sync.WaitGroup
-	for w := 0; w < spec.Workers; w++ {
+	for range spec.Workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			step := p.newStep()
+			for b := range jobs {
 				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without deciding
+					continue // cancelled: drain the queue without running
 				}
-				var out outcome
-				verdict, err := adv.Decide(j.initial)
-				if err != nil {
-					out.err = fmt.Errorf("pattern %d (%s): %w", j.pattern, j.initial.Key(), err)
-					out.cr.Index = j.index
-				} else {
-					out.cr = verdictCase(j.pattern, j.initial, verdict)
+				for k := range b.cases {
+					if err := step(&b.cases[k]); err != nil {
+						b.cases, b.err = b.cases[:k], err
+						break
+					}
 				}
 				select {
-				case results <- out:
+				case results <- b:
 				case <-ctx.Done():
 				}
 			}
@@ -759,57 +618,89 @@ func runAdversaryParallel(ctx context.Context, spec Spec, adv *adversary.Adversa
 	}()
 	go func() {
 		defer close(jobs)
-		spec.Source.Each(func(i int, c config.Config) bool {
+		var b *batch
+		seq := 0
+		send := func() bool {
 			select {
-			case tokens <- struct{}{}:
+			case jobs <- b:
+				b = nil
+				return true
 			case <-ctx.Done():
 				return false
 			}
-			select {
-			case jobs <- job{index: i, pattern: i, initial: c}:
-			case <-ctx.Done():
-				return false
+		}
+		spec.Source.Each(func(i int, c config.Config) bool {
+			for si, s := range p.seeds {
+				if b == nil {
+					select {
+					case b = <-free:
+					case <-ctx.Done():
+						return false
+					}
+					b.seq, b.cases, b.err = seq, b.cases[:0], nil
+					seq++
+				}
+				b.cases = append(b.cases, CaseResult{Index: i*m + si, Pattern: i, Initial: c, Seed: s})
+				if len(b.cases) == batchSize && !send() {
+					return false
+				}
 			}
 			return true
 		})
+		if b != nil {
+			send() // the short tail batch
+		}
 	}()
 
-	pending := make(map[int]outcome, spec.Workers)
-	next := 0
-	var cerr error
-	for out := range results {
-		if cerr != nil || ctx.Err() != nil {
+	// Batch seq can only be dispatched once every batch before
+	// seq-window+1 is delivered, so the batches awaiting delivery have
+	// distinct slots seq % window.
+	ring := make([]*batch, window)
+	held, peak, next, done := 0, 0, 0, 0
+	// Nil-safe registry accessors: without Spec.Metrics these resolve
+	// to live throwaway metrics, so the loop stays branch-free.
+	runsMetric := spec.Metrics.Counter("sweep_runs_total")
+	pendingHW := spec.Metrics.Gauge("sweep_pending_high_water")
+	var err error
+	for b := range results {
+		if err != nil || ctx.Err() != nil {
 			continue // drain so the workers can exit
 		}
-		pending[out.cr.Index] = out
-		if len(pending) > agg.report.PeakPending {
-			agg.report.PeakPending = len(pending)
+		ring[b.seq%window] = b
+		held++
+		if held > peak {
+			peak = held
+			pendingHW.SetMax(int64(peak))
 		}
-		for {
-			o, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
+		for err == nil && ring[next%window] != nil {
+			b := ring[next%window]
+			ring[next%window] = nil
+			held--
 			next++
-			<-tokens
-			if o.err != nil {
-				cerr = o.err
-				cancel()
-				break
+			for _, cr := range b.cases {
+				runsMetric.Inc()
+				agg.Absorb(cr)
+				if visit != nil {
+					if err = visit(cr); err != nil {
+						break
+					}
+				}
+				done++
+				if spec.Progress != nil {
+					spec.Progress(done, total)
+				}
 			}
-			if err := agg.absorb(o.cr); err != nil {
-				cerr = err
-				cancel()
-				break
+			if err == nil {
+				err = b.err
 			}
+			if err != nil {
+				cancel()
+			}
+			free <- b // never blocks: free holds every buffer at most once
 		}
 	}
-	if cerr != nil {
-		return cerr
+	if err == nil && done < total {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil && next < agg.report.Total {
-		return err
-	}
-	return nil
+	return peak, err
 }

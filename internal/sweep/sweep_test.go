@@ -2,7 +2,7 @@ package sweep_test
 
 // The sweep engine's contract: same results as a serial reference loop,
 // in-order streaming delivery, constant memory (O(workers) retained
-// configurations), deterministic aggregation independent of worker
+// batches of runs), deterministic aggregation independent of worker
 // count — including seeded SSYNC robustness sweeps — and prompt,
 // leak-free context cancellation. The root package's equivalence tests
 // additionally pin the n = 7 report case for case against the
@@ -13,8 +13,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumerate"
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -60,7 +63,7 @@ func TestRunMatchesSerialReference(t *testing.T) {
 // TestStreamConstantMemoryN8 streams the full 16689-pattern n = 8
 // sweep with KeepCases off: nothing may be retained, delivery must be
 // in index order, and the reorder buffer's high-water mark must be
-// bounded by the worker count — O(workers) configurations regardless
+// bounded by the worker count — O(workers) batches of runs regardless
 // of sweep size, the constant-memory claim of the package.
 func TestStreamConstantMemoryN8(t *testing.T) {
 	if testing.Short() {
@@ -86,10 +89,10 @@ func TestStreamConstantMemoryN8(t *testing.T) {
 		t.Fatalf("visited %d runs, want %d", next, enumerate.KnownCounts[8])
 	}
 	// Completion can outrun in-order delivery by at most the dispatch
-	// window (4 × workers), so the pending map is O(workers) however
-	// large the sweep.
+	// window (4 × workers batches of 16 runs), so the reorder buffer is
+	// O(workers) however large the sweep.
 	if limit := 4 * workers; rep.PeakPending > limit {
-		t.Fatalf("reorder buffer peaked at %d results, want O(workers) ≤ %d", rep.PeakPending, limit)
+		t.Fatalf("reorder buffer peaked at %d batches, want O(workers) ≤ %d", rep.PeakPending, limit)
 	}
 }
 
@@ -379,5 +382,147 @@ func TestAdversaryModeWorkerDeterminism(t *testing.T) {
 	}
 	if seq.Defeatable != 721 || seq.SafePatterns != 93 {
 		t.Fatalf("n=6 partition %d/%d, want 721/93", seq.Defeatable, seq.SafePatterns)
+	}
+}
+
+// TestAdversaryModeMetrics: an adversary sweep publishes the sweep
+// metrics exactly as a scheduler sweep does, whatever its worker count.
+func TestAdversaryModeMetrics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		reg := metrics.NewRegistry()
+		rep, err := sweep.Run(context.Background(), sweep.Spec{
+			N: 6, Workers: workers, Adversary: &adversary.Options{}, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("sweep_runs_total").Value(); got != 814 {
+			t.Fatalf("workers=%d: sweep_runs_total = %d, want 814", workers, got)
+		}
+		if got := reg.Gauge("sweep_pending_high_water").Value(); got < 1 || got != int64(rep.PeakPending) {
+			t.Fatalf("workers=%d: sweep_pending_high_water = %d (PeakPending %d), want ≥ 1 and equal",
+				workers, got, rep.PeakPending)
+		}
+	}
+}
+
+// TestBatchEdges sweeps sources whose run counts are not a multiple of
+// any batch size, at worker counts below, at and above the core count:
+// every case arrives exactly once in Index order, progress climbs by
+// one to (total, total), the report does not depend on the worker
+// count, and a visitor error in the middle of a batch stops delivery
+// and aggregation right at the failing case.
+func TestBatchEdges(t *testing.T) {
+	specs := map[string]sweep.Spec{
+		// 37 patterns × 3 seeds = 111 runs.
+		"list": {
+			N:         7,
+			Source:    sweep.Patterns(enumerate.Connected(7)[:37]...),
+			Scheduler: sweep.SSYNC,
+			Seeds:     sweep.SeedRange(1, 3),
+			MaxRounds: 5000,
+		},
+		"within": {N: 5, Source: sweep.ConnectedWithin(5, 2)},
+	}
+	for name, spec := range specs {
+		var reports [][]byte
+		for _, workers := range []int{1, 2, 8} {
+			spec := spec
+			spec.Workers = workers
+			next, progressed := 0, 0
+			spec.Progress = func(done, total int) {
+				if done != progressed+1 {
+					t.Fatalf("%s/%d: progress %d after %d", name, workers, done, progressed)
+				}
+				progressed = done
+				if total != spec.Source.Count()*max(1, len(spec.Seeds)) {
+					t.Fatalf("%s/%d: progress total %d", name, workers, total)
+				}
+			}
+			rep, err := sweep.Stream(context.Background(), spec, func(c sweep.CaseResult) error {
+				if c.Index != next {
+					t.Fatalf("%s/%d: case %d delivered at position %d", name, workers, c.Index, next)
+				}
+				next++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next != rep.Total || progressed != rep.Total {
+				t.Fatalf("%s/%d: delivered %d, progress %d, want %d", name, workers, next, progressed, rep.Total)
+			}
+			if rep.Total%16 == 0 {
+				t.Fatalf("%s: %d runs fill whole batches; the tail batch goes untested", name, rep.Total)
+			}
+			data, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports = append(reports, data)
+
+			// Fail at k, the eighth case of the third batch.
+			const k = 39
+			boom := errors.New("boom")
+			reg := metrics.NewRegistry()
+			spec.Metrics = reg
+			spec.Progress = nil
+			seen := 0
+			_, err = sweep.Stream(context.Background(), spec, func(c sweep.CaseResult) error {
+				if c.Index != seen {
+					t.Fatalf("%s/%d: case %d delivered at position %d", name, workers, c.Index, seen)
+				}
+				seen++
+				if c.Index == k {
+					return boom
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("%s/%d: visitor error not returned: %v", name, workers, err)
+			}
+			if seen != k+1 {
+				t.Fatalf("%s/%d: %d cases delivered, want %d", name, workers, seen, k+1)
+			}
+			if got := reg.Counter("sweep_runs_total").Value(); got != k+1 {
+				t.Fatalf("%s/%d: %d cases absorbed, want %d", name, workers, got, k+1)
+			}
+		}
+		for i := 1; i < len(reports); i++ {
+			if !bytes.Equal(reports[0], reports[i]) {
+				t.Fatalf("%s: worker count changed the report:\n%s\nvs\n%s", name, reports[0], reports[i])
+			}
+		}
+	}
+}
+
+// TestAdversaryFirstErrorOrder: a pattern the solver refuses ends the
+// sweep with that pattern's error, after exactly the patterns before it
+// were delivered, however many workers decide.
+func TestAdversaryFirstErrorOrder(t *testing.T) {
+	const k = 21 // the sixth pattern of the second batch
+	list := append([]config.Config(nil), enumerate.Connected(6)[:40]...)
+	gap := config.New(append(config.Line(grid.Origin, grid.E, 5).Nodes(), grid.Coord{Q: 9, R: 9})...)
+	list[k] = gap
+	for _, workers := range []int{1, 4} {
+		seen := 0
+		_, err := sweep.Stream(context.Background(), sweep.Spec{
+			N: 6, Workers: workers, Source: sweep.Patterns(list...), Adversary: &adversary.Options{},
+		}, func(c sweep.CaseResult) error {
+			if c.Pattern != seen {
+				t.Fatalf("workers=%d: pattern %d delivered at position %d", workers, c.Pattern, seen)
+			}
+			seen++
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: a disconnected pattern decided without error", workers)
+		}
+		if want := fmt.Sprintf("pattern %d (%s): ", k, gap.Key()); !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("workers=%d: error %q, want prefix %q", workers, err, want)
+		}
+		if seen != k {
+			t.Fatalf("workers=%d: visitor saw %d patterns, want %d", workers, seen, k)
+		}
 	}
 }
