@@ -235,7 +235,9 @@ func serveMetrics(addr string, reg *metrics.Registry) error {
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("sweepd run", flag.ExitOnError)
 	// Shared sweep vocabulary (cliflags); SpecDesc.Validate rejects
-	// -sched adv, which is not distributable yet.
+	// -sched adv, which stays single-process: n = 10 decides in about
+	// 35 s in one process, and its per-pattern solver state counts
+	// depend on which worker reaches a shared game state first.
 	shared := cliflags.Register(fs, cliflags.SweepSet)
 	o := orchFlags(fs)
 	fs.Parse(args)

@@ -51,6 +51,17 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers, so a slow or stalled client cannot pin a connection
+// forever, and an idle keep-alive connection is closed after
+// idleTimeout. There is no write timeout: POST /sweep streams its
+// framed results for as long as the sweep runs, which no fixed write
+// deadline can bound.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8417", "listen address")
 	shared := cliflags.Register(flag.CommandLine, cliflags.FlagAlg|cliflags.FlagMaxRounds)
@@ -72,7 +83,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{
+		Addr: *addr, Handler: svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	minN, maxN := serve.TableBounds()

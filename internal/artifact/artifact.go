@@ -127,7 +127,8 @@ func decodeHeader(b []byte, k Kind) (Header, int, error) {
 
 // WriteFile publishes a file atomically: write fills a temp file in the
 // same directory, which is synced to stable storage and then renamed
-// over path. A process killed mid-write leaves the old file or the new
+// over path, and the directory is synced so the rename itself survives
+// a crash. A process killed mid-write leaves the old file or the new
 // one, never a torn or empty one.
 func WriteFile(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
@@ -139,5 +140,12 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	if err := errors.Join(write(tmp), tmp.Chmod(0o644), tmp.Sync(), tmp.Close()); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	return errors.Join(dir.Sync(), dir.Close())
 }

@@ -8,8 +8,9 @@ import (
 // Outcome is one memoized run outcome: what happens — eventually,
 // regardless of round budget — to a deterministic execution that stands
 // at the keyed configuration (and phase). It is the value type of the
-// Outcomes store shared by the FSYNC sweep walk (internal/sim) and the
-// periodic-scheduler rollouts (internal/sched).
+// Outcomes store that sim.Walk — the one memoized walk, behind both
+// the FSYNC sweeps (internal/sim) and the periodic schedulers
+// (internal/sched) — consults and publishes.
 //
 // An Outcomes store is scoped to one (algorithm, goal, scheduler
 // semantics) triple: outcomes are facts about *that* deterministic
@@ -63,8 +64,10 @@ type Outcome struct {
 // memoized on-cycle outcome into a longer run needs it: if the
 // consuming run's own prefix already entered the cycle, the repeat is
 // detected at the prefix's entry point, not after a full lap from the
-// hit — Members lets the consumer check (see the hazard note in
-// internal/sim's memoized walk).
+// hit — Members lets the consumer check (see the livelock splice
+// hazard in the comment atop internal/sim's memoized.go, home of
+// sim.Walk: the one memoized walk, driven by sim.Run and by sched.Run's
+// periodic schedulers).
 type CycleInfo struct {
 	// Len is the cycle length in counted rounds; RawLen in loop
 	// iterations (equal under FSYNC).

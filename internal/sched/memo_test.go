@@ -3,8 +3,11 @@ package sched
 // Equivalence tests for sched.Run's outcome-store clients: with
 // Options.Outcomes set, Run must report the same Status, Rounds and
 // Moves as the direct loop for every pattern, scheduler, round budget
-// and store state — tier B (the periodic memoized walk) and tier A
-// (universal no-mover facts) are pure optimizations.
+// and store state — tier B (internal/sim's memoized walk, sim.Walk,
+// driven over phase-folded keys) and tier A (universal no-mover facts)
+// are pure optimizations. The walk's partial-cycle hazard and
+// concurrent-publication tests live with it, in internal/sim's
+// memoized_test.go, and run over a round-robin walker too.
 
 import (
 	"fmt"

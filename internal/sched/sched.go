@@ -141,27 +141,44 @@ func (s *RandomSubset) Select(n, _ int) []int {
 // conservative historical rule: only patterns reached by a
 // full-activation round enter the cycle set.
 //
-// Outcome memoization (opts.Outcomes, ignored with RecordTrace set):
-// for deterministic periodic schedulers the execution
-// state is (pattern, round mod period), so Run keys the shared outcome
-// store on that pair (memo.Key.WithPhase) and the run becomes the same
-// memoized graph walk the FSYNC simulator does — cut short at the
-// first known state, walked suffixes published backwards, results
-// bit-identical to the unmemoized run (the splice guards mirror
-// internal/sim's; Final is reported up to translation). Idle rounds
-// are extra execution state the pattern key cannot carry, so only
-// states entered fresh (idle == 0: the initial state, and every state
-// just after a moving round) are keyed; Outcome.Raw carries the idle
-// iterations a budget splice must account for. For every other
-// scheduler — the seeded random SSYNC adversaries, a witness replay —
-// future activations are not a function of the state, so only the one
-// schedule-independent fact is shared: a pattern with no movers
-// resolves (gathered or stalled) identically under every scheduler.
-// Run publishes that fact when a full activation proves it
-// and splices it when the remaining budget provably covers the
-// direct loop's own idle-streak resolution (within 4·n iterations),
-// which is what lets a 32-seed SSYNC robustness sweep skip the stall
-// tails of all its schedules after the first.
+// Outcome memoization (opts.Outcomes, ignored with RecordTrace set)
+// has two tiers.
+//
+// Tier B — deterministic periodic schedulers (Periodic: FSYNC,
+// RoundRobin) with DetectCycles and StopOnDisconnect set. The
+// execution state is (pattern, round mod period) plus the idle
+// counter; states entered fresh (idle == 0: the initial state and
+// every state just after a moving round) are pure restart points, so
+// their outcomes are facts of the scheduler's dynamics and Run drives
+// internal/sim's memoized walk (sim.Walk) over them — the same walk
+// sim.Run does, with the same splice guards, backfill and cycle
+// publication, and results bit-identical to the unmemoized run (Final
+// reported up to translation). What differs is bookkept here:
+//
+//   - Keys carry the phase (phaseKey). Period-1 schedulers use the
+//     bare pattern key, so FSYNC interoperates with sim-published
+//     outcomes in one store; longer periods shift into phase slots
+//     1..period, which never collide with bare keys (different
+//     periodic schedulers must still not share a store).
+//   - Idle rounds burn the iteration budget without counting as
+//     rounds: the walk's raw budget is the loop iteration, and a stall
+//     fact is trusted only under full activation; otherwise the splice
+//     needs the budget to cover the loop's own idle resolution
+//     (idleLimit iterations).
+//   - When the phased key does not end the run, the bare key is still
+//     consulted for a universal no-mover fact (below).
+//
+// Tier A — every other scheduler: the seeded random SSYNC adversaries,
+// a witness replay. Future activations are not a function of the
+// state, so only the one schedule-independent fact is shared: if no
+// robot moves under a full activation, the pattern has no movers at
+// all (a move depends only on the robot's view), so every scheduler
+// resolves it identically — gathered or stalled, no further rounds or
+// moves. Run publishes that fact at the bare key when a full
+// activation proves it and splices it (sim.SpliceStall) when the
+// remaining budget covers the loop's idle resolution, which is what
+// lets a 32-seed SSYNC robustness sweep share the FSYNC sweep's store
+// and skip the stall tails of all its schedules after the first.
 func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Options) sim.Result {
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
@@ -188,15 +205,22 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 	if opts.RecordTrace {
 		st = nil // a splice cannot reconstruct the skipped trace
 	}
-	var walk *schedWalk
+	// idleLimit is the idle streak after which the loop decides a
+	// no-mover state under partial activation.
+	idleLimit := 4 * n
+	var walk *sim.Walk
 	if st != nil && period > 0 && opts.DetectCycles && opts.StopOnDisconnect {
-		// Tier B: the full memoized walk replaces the cycle sets (its
-		// path index detects the same (pattern, phase) repeats).
-		walk = newSchedWalk(st, period, n)
+		// Tier B. A period-1 scheduler that activates every robot
+		// decides a no-mover state in the same iteration.
+		stallSlack := idleLimit
+		if period == 1 && len(s.Select(n, 0)) == n {
+			stallSlack = 0
+		}
+		walk = sim.NewWalk(maxRounds, stallSlack)
 	}
 	var seen *config.PatternSet    // phase-0 set (pooled via opts.CycleSet)
 	var phases []config.PatternSet // phase-1..period-1 sets, lazily zero-valued
-	if opts.DetectCycles && walk == nil {
+	if opts.DetectCycles {
 		if opts.CycleSet != nil {
 			seen = opts.CycleSet
 			seen.Reset()
@@ -215,14 +239,19 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 	for round := 0; round < maxRounds; round++ {
 		robots = cur.AppendNodes(robots[:0])
 		if idle == 0 && st != nil {
+			key := memo.KeyOf(robots)
 			if walk != nil {
-				if r, spliced := walk.visit(robots, cur, round, maxRounds, &res); spliced {
+				if r, spliced := walk.Visit(st, phaseKey(key, round, period), cur, round, res.Rounds, res.Moves); spliced {
 					return r
 				}
-			} else if out, ok := st.Load(memo.KeyOf(robots)); ok && out.Rounds == 0 && out.Raw == 0 {
-				// Tier A: a universal no-mover fact ends any schedule.
-				if r, spliced := (&schedWalk{n: n}).spliceStall(out, round, maxRounds, cur, &res); spliced {
-					return r
+			}
+			if walk == nil || period > 1 {
+				// A universal no-mover fact at the bare key ends any
+				// schedule (tier A, or a phased key that did not).
+				if out, ok := st.Load(key); ok && out.Rounds == 0 && out.Raw == 0 {
+					if r, spliced := sim.SpliceStall(out, res, round, idleLimit, maxRounds); spliced {
+						return r
+					}
 				}
 			}
 		}
@@ -245,7 +274,7 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 			res.Collision = coll
 			res.Final = cur
 			if walk != nil {
-				walk.terminal(sim.Collision, round, cur, coll)
+				walk.Finish(st, res, round)
 			}
 			return res
 		}
@@ -257,7 +286,7 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 			// sets: for a periodic scheduler a whole idle period means
 			// no activated robot wants to move, which resolves through
 			// this stall path, not as a livelock.
-			if len(active) == len(robots) || idle >= 4*len(robots) {
+			if len(active) == len(robots) || idle >= idleLimit {
 				if goal(cur) {
 					res.Status = sim.Gathered
 				} else {
@@ -265,7 +294,7 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 				}
 				res.Final = cur
 				if walk != nil {
-					walk.terminal(res.Status, round, cur, nil)
+					walk.Finish(st, res, round)
 				} else if st != nil && len(active) == len(robots) {
 					// Tier A publishes only the full-activation proof:
 					// no robot moved with everyone active, so the
@@ -291,19 +320,11 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 		if opts.StopOnDisconnect && !cur.Connected() {
 			res.Status = sim.Disconnected
 			if walk != nil {
-				walk.disconnected(round, &res)
+				walk.Finish(st, res, round+1)
 			}
 			return res
 		}
-		if walk != nil {
-			key := walk.key(cur.AppendNodes(robots[:0]), round+1)
-			if t0, on := walk.idx[key]; on {
-				walk.closeCycle(t0, round, &res)
-				res.Status = sim.Livelock
-				return res
-			}
-			walk.pending, walk.hasPending = key, true
-		} else if opts.DetectCycles {
+		if opts.DetectCycles {
 			if period > 0 {
 				// The state entering round round+1 is (cur, phase); a
 				// repeat replays the same deterministic future forever.
@@ -313,6 +334,10 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 				}
 				if !set.Add(cur) {
 					res.Status = sim.Livelock
+					if walk != nil {
+						key := phaseKey(memo.KeyOf(cur.AppendNodes(robots[:0])), round+1, period)
+						walk.CloseCycle(st, key, round+1, res.Rounds, res.Moves)
+					}
 					return res
 				}
 			} else if len(active) == len(robots) && !seen.Add(cur) {
@@ -323,4 +348,15 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 	}
 	res.Status = sim.RoundLimit
 	return res
+}
+
+// phaseKey keys the fresh state entering loop iteration round under a
+// periodic scheduler: period-1 schedulers use the bare pattern key
+// (interoperable with sim.Run's store), longer periods shift into
+// phase slots 1..period so they never collide with bare keys.
+func phaseKey(k memo.Key, round, period int) memo.Key {
+	if period > 1 {
+		return k.WithPhase(round%period + 1)
+	}
+	return k
 }

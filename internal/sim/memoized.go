@@ -5,23 +5,36 @@ import (
 	"repro/internal/memo"
 )
 
-// This file is the memoized branch of the run loop: the configuration-
-// graph walk, cut short at the first state whose outcome the shared
-// store (Options.Outcomes) already knows, with the walked
-// suffix published backwards along the step.Successor edges when the
-// walk reaches a terminal fact itself. FSYNC dynamics are
-// deterministic, so a run's outcome — status, rounds remaining, moves
-// remaining — is a pure function of its configuration; trajectories
-// merge heavily (the whole n = 8 space resolves within 17 rounds), so
+// This file is the memoized configuration-graph walk, the one
+// implementation behind both sim.Run's memoized branch and
+// internal/sched's periodic schedulers (its tier B): a run cut short at
+// the first state whose outcome the shared store (Options.Outcomes)
+// already knows, with the walked suffix published backwards along the
+// run's own trajectory when the walk reaches a terminal fact itself.
+// A deterministic run's outcome — status, rounds remaining, moves
+// remaining — is a pure function of its state; trajectories merge
+// heavily (the whole n = 8 FSYNC space resolves within 17 rounds), so
 // across a sweep every shared suffix is paid for exactly once and a
 // sweep becomes one deduplicated traversal of the configuration graph.
 //
+// The walk records the run's fresh states: under FSYNC every state,
+// under a periodic scheduler the states entered with no idle streak
+// (the initial state and every state just after a moving round). Each
+// carries the loop iterations (raw), counted rounds and robot steps
+// consumed reaching it. Under FSYNC raw == rounds == the state's path
+// index; under partial activation idle iterations burn budget without
+// counting as rounds, so every budget guard compares raw iterations
+// (Outcome.Raw, CycleInfo.RawLen) against MaxRounds while the spliced
+// Result reports counted rounds and moves. Keys are the caller's: the
+// bare pattern key under FSYNC, the phase-folded key
+// (memo.Key.WithPhase) under a longer period.
+//
 // Equivalence to the unmemoized run (Status, Rounds, Moves — the tests
-// in memoized_test.go and the sweep-level equivalence tests check it
-// exhaustively) rests on three guards:
+// in memoized_test.go, internal/sched's memo_test.go and the sweep-
+// level equivalence tests check it exhaustively) rests on four guards:
 //
 //  1. Budget: a memoized outcome describes the unbounded run. When
-//     rounds-consumed + rounds-remaining exceeds the caller's
+//     iterations-consumed + iterations-remaining exceeds the caller's
 //     MaxRounds the direct run reports RoundLimit instead, so the walk
 //     refuses the splice and keeps walking — and since the sum is
 //     invariant along a trajectory, every later hit refuses too, and
@@ -29,9 +42,9 @@ import (
 //     nothing: a budget is a property of the run, not the
 //     configuration). The exact comparison mirrors how the direct loop
 //     charges its budget: the terminal statuses are detected *inside*
-//     iteration rounds-total (so they need rounds-total < MaxRounds),
+//     iteration raw-total (so they need raw-total < MaxRounds),
 //     livelock and disconnection at the *end* of the last iteration
-//     (rounds-total ≤ MaxRounds).
+//     (raw-total ≤ MaxRounds).
 //
 //  2. Livelock splice hazard: the direct run detects a livelock at the
 //     first repeat in its *own* trajectory. Splicing a memoized
@@ -50,48 +63,87 @@ import (
 //     hit state on a cycle through that state, contradicting
 //     determinism of the terminal (or its own tail).
 //
-//  3. Publication is final-only and first-write-wins (the memo
+//  3. Stall facts: an outcome with Rounds == 0 (nobody moves from the
+//     state again) may have been published under other dynamics — a
+//     seeded SSYNC schedule's full-activation proof (internal/sched's
+//     tier A) — whose idle resolution ran a different number of
+//     iterations, so its Raw is only trusted when every robot is
+//     activated each round and an all-stay round decides at once.
+//     Under partial activation the splice uses SpliceStall's
+//     conservative guard instead: the remaining budget must cover the
+//     driving loop's worst-case idle resolution (stallSlack). A
+//     refused splice just keeps walking — never wrong, only slower.
+//
+//  4. Publication is final-only and first-write-wins (the memo
 //     package's contract): Status/Rounds/Moves are unique facts of the
-//     pattern, so concurrent publishers agree and readers can never
+//     state, so concurrent publishers agree and readers can never
 //     observe a half-built fact. Final and Collision are recorded from
 //     whichever translated representative published first — the one
 //     deliberate divergence, documented on Options.Outcomes.
 
-// pathState is one state of the walk's own trajectory.
+// Walk is one memoized run's walk: its own trajectory of fresh states,
+// consulted against and published into a shared outcome store. The
+// driving loop calls Visit at every fresh state and, when the run ends
+// on its own, Finish or CloseCycle, passing the same store each time.
+// (The store is an argument, not a field: escape analysis cannot tell
+// a struct's fields apart, and a store field would push the path's
+// initial buffer off sim.Run's stack.) A Walk serves one run and is
+// not safe for concurrent use; the store is.
+type Walk struct {
+	maxRounds int
+	// stallSlack is the most idle iterations the driving loop can
+	// spend deciding a state from which no robot moves (guard 3): 0
+	// when every robot is activated each round, the loop's idle
+	// threshold under partial activation.
+	stallSlack int
+	path       []pathState
+}
+
+// pathState is one fresh state of the walk's own trajectory.
 type pathState struct {
 	key memo.Key
 	cfg config.Config
-	// moves is the cumulative robot steps consumed reaching this state
-	// from the walk's initial configuration.
-	moves int
+	// raw, rounds and moves are the loop iterations, counted rounds
+	// and robot steps consumed reaching this state from the run's
+	// initial configuration.
+	raw, rounds, moves int
 }
 
-// closeCycle publishes the livelock the walk found on its own
-// trajectory: the state keyed key, reached after moves robot steps,
-// repeats the path state at t0, so path[t0:] are the cycle's states.
-func closeCycle(st *memo.Outcomes, path []pathState, key memo.Key, moves int) {
-	t0 := 0
-	for path[t0].key != key {
-		t0++
+// NewWalk starts the walk of one run with the run's iteration budget.
+// stallSlack is the most idle iterations the driving loop can spend
+// deciding a state from which no robot moves: 0 when every robot is
+// activated each round, the loop's idle threshold otherwise.
+func NewWalk(maxRounds, stallSlack int) *Walk {
+	return &Walk{maxRounds: maxRounds, stallSlack: stallSlack, path: make([]pathState, 0, 8)}
+}
+
+// Visit records the fresh state keyed key — cfg, entering loop
+// iteration raw after rounds counted rounds and moves robot steps —
+// and tries to end the run at st's outcome for it. On a splice
+// it returns the result the direct run would have produced and true;
+// false means the caller keeps running (a miss, or an outcome that
+// does not fit the remaining budget).
+func (w *Walk) Visit(st *memo.Outcomes, key memo.Key, cfg config.Config, raw, rounds, moves int) (Result, bool) {
+	// Grow by hand, then reslice: `w.path = append(w.path, …)` through
+	// the pointer would push sim.Run's initial path buffer to the heap.
+	if len(w.path) == cap(w.path) {
+		w.path = append(make([]pathState, 0, 2*cap(w.path)+8), w.path...)
 	}
-	ci := &memo.CycleInfo{
-		Len: int32(len(path) - t0), RawLen: int32(len(path) - t0),
-		Moves: int32(moves - path[t0].moves), Members: make(map[memo.Key]struct{}, len(path)-t0),
+	w.path = w.path[:len(w.path)+1]
+	w.path[len(w.path)-1] = pathState{key: key, cfg: cfg, raw: raw, rounds: rounds, moves: moves}
+	if out, ok := st.Load(key); ok {
+		return w.splice(st, out)
 	}
-	for _, ps := range path[t0:] {
-		ci.Members[ps.key] = struct{}{}
-	}
-	publishCycle(st, path, t0, ci)
+	return Result{}, false
 }
 
 // splice tries to end the walk at a memoized outcome for the last path
-// state, returning the result the direct run would have produced. A
-// false return means the outcome does not fit the remaining round
-// budget (the walk must keep going).
-func splice(st *memo.Outcomes, out memo.Outcome, path []pathState, maxRounds int) (Result, bool) {
-	p := len(path) - 1
+// state under the guards of the file comment.
+func (w *Walk) splice(st *memo.Outcomes, out memo.Outcome) (Result, bool) {
+	last := w.path[len(w.path)-1]
 	status := Status(out.Status)
-	if status == Livelock {
+	switch status {
+	case Livelock:
 		ci := out.Cycle
 		if ci == nil {
 			return Result{}, false // defensive: malformed entry, treat as a miss
@@ -99,86 +151,132 @@ func splice(st *memo.Outcomes, out memo.Outcome, path []pathState, maxRounds int
 		if out.Rounds == ci.Len {
 			// On-cycle hit: find the earliest own state on this cycle —
 			// the direct run's repeat happens one lap after *it*. The
-			// scan always terminates: path[p], the hit itself, is a
-			// member.
+			// scan always terminates: the hit itself is a member.
 			t := 0
-			for t < p && !ci.OnCycle(path[t].key) {
+			for t < len(w.path)-1 && !ci.OnCycle(w.path[t].key) {
 				t++
 			}
-			total := t + int(ci.Len)
-			if total > maxRounds {
+			entry := w.path[t]
+			if entry.raw+int(ci.RawLen) > w.maxRounds {
 				return Result{}, false
 			}
-			publishCycle(st, path, t, ci)
+			w.publishCycle(st, t, ci)
 			return Result{
-				Status: Livelock, Rounds: total,
-				Moves: path[t].moves + int(ci.Moves), Final: path[t].cfg,
+				Status: Livelock, Rounds: entry.rounds + int(ci.Len),
+				Moves: entry.moves + int(ci.Moves), Final: entry.cfg,
 			}, true
 		}
 		// Tail hit: the hit's remaining trajectory is disjoint from the
 		// walk's own prefix (see the hazard note above), so the direct
 		// repeat is the hit's repeat, shifted by the prefix.
-		total := p + int(out.Rounds)
-		if total > maxRounds {
+		if last.raw+int(out.Raw) > w.maxRounds {
 			return Result{}, false
 		}
-		backfill(st, path, int(out.Rounds), int(out.Moves), memo.Outcome{Status: out.Status, Final: out.Final, Cycle: ci})
-		return Result{Status: Livelock, Rounds: total, Moves: path[p].moves + int(out.Moves), Final: out.Final}, true
-	}
-	total := p + int(out.Rounds)
-	if status == Disconnected {
-		if total > maxRounds {
+	case Disconnected:
+		if last.raw+int(out.Raw) > w.maxRounds {
 			return Result{}, false
 		}
-	} else if total >= maxRounds { // Gathered, Stalled, Collision: detected inside iteration `total`
-		return Result{}, false
+	default: // Gathered, Stalled, Collision: detected inside iteration raw-total
+		if w.stallSlack > 0 && out.Rounds == 0 && out.Collision == nil {
+			so := Result{Rounds: last.rounds, Moves: last.moves, Final: last.cfg}
+			return SpliceStall(out, so, last.raw, w.stallSlack, w.maxRounds)
+		}
+		if last.raw+int(out.Raw) >= w.maxRounds {
+			return Result{}, false
+		}
 	}
-	backfill(st, path, int(out.Rounds), int(out.Moves), memo.Outcome{Status: out.Status, Final: out.Final, Collision: out.Collision})
-	return Result{
-		Status: status, Rounds: total, Moves: path[p].moves + int(out.Moves),
+	r := Result{
+		Status: status, Rounds: last.rounds + int(out.Rounds), Moves: last.moves + int(out.Moves),
 		Final: out.Final, Collision: out.Collision,
-	}, true
+	}
+	w.backfill(st, r, last.raw+int(out.Raw), out.Cycle)
+	return r, true
 }
 
-// backfill publishes an outcome for every state on the walked path:
-// state i lies (last − i) Successor edges before the path's end, whose
-// own remaining run is rem rounds and remMoves steps, so state i's
-// outcome is the sum of the two legs. The shared terminal fields
-// (Status, Final, Collision, Cycle) come from out; Rounds, Raw and
-// Moves are filled per state. Republishing states that already hold
-// the fact (the splice hit itself, a concurrently published suffix) is
-// a first-write-wins no-op.
-func backfill(st *memo.Outcomes, path []pathState, rem, remMoves int, out memo.Outcome) {
-	last := len(path) - 1
-	end := path[last].moves + remMoves
-	for i, ps := range path {
-		o := out
-		o.Rounds = int32(last - i + rem)
-		o.Raw = o.Rounds
-		o.Moves = int32(end - ps.moves)
-		st.Publish(ps.key, o)
+// SpliceStall ends a run at a stall fact: a gathered or stalled
+// outcome with Rounds == 0 for the state the run stands at, so no
+// robot ever moves again and the result is the run so far (so — its
+// rounds, moves and final configuration) with the fact's status. The
+// fact's Raw is not trusted (guard 3 of the file comment): the splice
+// needs the remaining budget, after the raw iterations consumed, to
+// cover slack idle iterations of the driving loop's own resolution.
+// Nothing is published: the run's exact Raw would need the resolution
+// length under *its* dynamics, which the fact does not carry.
+func SpliceStall(out memo.Outcome, so Result, raw, slack, maxRounds int) (Result, bool) {
+	status := Status(out.Status)
+	if (status != Gathered && status != Stalled) || raw+slack >= maxRounds {
+		return Result{}, false
 	}
+	so.Status = status
+	return so, true
+}
+
+// Finish publishes into st the run's own end r — Collision, Gathered, Stalled
+// or Disconnected — detected after raw loop iterations, for every
+// state on the path. The disconnected state itself gets no outcome: a
+// run starting there would step before noticing the split, which is a
+// different fact from "ends here, disconnected".
+func (w *Walk) Finish(st *memo.Outcomes, r Result, raw int) { w.backfill(st, r, raw, nil) }
+
+// backfill publishes the outcome of a run ending at r after endRaw
+// loop iterations for every path state: state i's remaining run is the
+// difference between the end's cumulative budgets and its own. The
+// shared terminal fields (Status, Final, Collision, Cycle) come from r
+// and ci. Republishing states that already hold the fact (the splice
+// hit itself, a concurrently published suffix) is a first-write-wins
+// no-op.
+func (w *Walk) backfill(st *memo.Outcomes, r Result, endRaw int, ci *memo.CycleInfo) {
+	for _, ps := range w.path {
+		st.Publish(ps.key, memo.Outcome{
+			Status: uint8(r.Status), Rounds: int32(r.Rounds - ps.rounds),
+			Raw: int32(endRaw - ps.raw), Moves: int32(r.Moves - ps.moves),
+			Final: r.Final, Collision: r.Collision, Cycle: ci,
+		})
+	}
+}
+
+// CloseCycle publishes into st the livelock the walk found on its own
+// trajectory: the state keyed key, reached after raw iterations,
+// rounds counted rounds and moves robot steps, repeats a path state,
+// and the path from that state on is the cycle.
+func (w *Walk) CloseCycle(st *memo.Outcomes, key memo.Key, raw, rounds, moves int) {
+	t0 := 0
+	for w.path[t0].key != key {
+		t0++
+	}
+	entry := w.path[t0]
+	ci := &memo.CycleInfo{
+		Len: int32(rounds - entry.rounds), RawLen: int32(raw - entry.raw),
+		Moves: int32(moves - entry.moves), Members: make(map[memo.Key]struct{}, len(w.path)-t0),
+	}
+	for _, ps := range w.path[t0:] {
+		ci.Members[ps.key] = struct{}{}
+	}
+	w.publishCycle(st, t0, ci)
 }
 
 // publishCycle publishes livelock outcomes for a path that enters a
 // cycle at index t0: path[t0:] are on the cycle (one lap from
-// themselves back to themselves), path[:t0] is the tail (down to the
+// themselves back to themselves — a lap's rounds, iterations and moves
+// are rotation-invariant sums), path[:t0] is the tail (down to the
 // entry, then one lap). ci is complete before any publication — the
 // consumer-side hazard check depends on Members never being observed
 // half-built.
-func publishCycle(st *memo.Outcomes, path []pathState, t0 int, ci *memo.CycleInfo) {
-	for _, ps := range path[t0:] {
+func (w *Walk) publishCycle(st *memo.Outcomes, t0 int, ci *memo.CycleInfo) {
+	for _, ps := range w.path[t0:] {
 		st.Publish(ps.key, memo.Outcome{
-			Status: uint8(Livelock), Rounds: ci.Len, Raw: ci.Len,
+			Status: uint8(Livelock), Rounds: ci.Len, Raw: ci.RawLen,
 			Moves: ci.Moves, Final: ps.cfg, Cycle: ci,
 		})
 	}
-	for i, ps := range path[:t0] {
+	entry := w.path[t0]
+	for _, ps := range w.path[:t0] {
 		st.Publish(ps.key, memo.Outcome{
 			Status: uint8(Livelock),
-			Rounds: int32(t0-i) + ci.Len, Raw: int32(t0-i) + ci.Len,
-			Moves: int32(path[t0].moves-ps.moves) + ci.Moves,
-			Final: path[t0].cfg, Cycle: ci,
+			Rounds: int32(entry.rounds-ps.rounds) + ci.Len,
+			Raw:    int32(entry.raw-ps.raw) + ci.RawLen,
+			Moves:  int32(entry.moves-ps.moves) + ci.Moves,
+			Final:  entry.cfg, Cycle: ci,
 		})
 	}
 }

@@ -4,7 +4,9 @@ package sim_test
 // Options.Outcomes set, sim.Run must report the same Status, Rounds
 // and Moves as the direct packed loop for every pattern, every round
 // budget, and every store state (cold, warm, partially published) —
-// the walk is a pure optimization, never a semantic change.
+// the walk is a pure optimization, never a semantic change. The walk
+// is shared with internal/sched's periodic schedulers, so the hazard
+// and concurrency tests also drive it through sched.Run.
 
 import (
 	"fmt"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumerate"
 	"repro/internal/memo"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -100,87 +103,116 @@ func TestMemoizedBudgetEquivalence(t *testing.T) {
 	}
 }
 
+// walker drives the memoized walk: sim.Run under FSYNC, or sched.Run
+// under a periodic scheduler (its tier B runs the same walk over
+// phase-folded keys, with idle iterations between fresh states).
+type walker struct {
+	name string
+	run  func(c config.Config, opts sim.Options) sim.Result
+	// key is the walk's key for c's initial state.
+	key func(c config.Config) memo.Key
+}
+
+func walkers() []walker {
+	alg := core.Gatherer{}
+	return []walker{
+		{"fsync",
+			func(c config.Config, o sim.Options) sim.Result { return sim.Run(alg, c, o) },
+			func(c config.Config) memo.Key { return memo.KeyOf(c.Nodes()) }},
+		{"round-robin",
+			func(c config.Config, o sim.Options) sim.Result { return sched.Run(alg, c, sched.RoundRobin{}, o) },
+			// Iteration 0 sits in phase slot 1 of a period-n scheduler.
+			func(c config.Config) memo.Key { return memo.KeyOf(c.Nodes()).WithPhase(1) }},
+	}
+}
+
 // TestMemoizedPartialCycleHazard reproduces the one scenario where a
 // naive splice would lie: a store holding the outcome of a single
 // on-cycle state (as a concurrent walk can observe mid-publication),
 // hit by a run whose own prefix has already entered that cycle. For
 // every livelock pattern with a non-trivial tail and cycle, and every
 // on-cycle member published alone, the walk must still report exactly
-// the direct run's rounds and moves.
+// the direct run's rounds and moves — under FSYNC and under the
+// round-robin scheduler.
 func TestMemoizedPartialCycleHazard(t *testing.T) {
-	alg := core.Gatherer{}
-	found := 0
-	for n := 4; n <= 8 && found < 6; n++ {
-		for _, c := range enumerate.Connected(n) {
-			direct := sim.Run(alg, c, directOpts())
-			if direct.Status != sim.Livelock {
-				continue
-			}
-			// Learn the cycle structure from a cold memoized run.
-			full := memo.NewOutcomes()
-			sim.Run(alg, c, memoOpts(full))
-			initOut, ok := full.Load(memo.KeyOf(c.Nodes()))
-			if !ok || initOut.Cycle == nil {
-				t.Fatalf("n=%d %s: livelock outcome not published", n, c.Key())
-			}
-			ci := initOut.Cycle
-			if initOut.Rounds == ci.Len || ci.Len < 2 {
-				continue // need tail ≥ 1 and cycle ≥ 2 to exercise the hazard
-			}
-			found++
-			for member := range ci.Members {
-				out, ok := full.Load(member)
-				if !ok {
-					t.Fatalf("n=%d %s: cycle member unpublished", n, c.Key())
+	for _, w := range walkers() {
+		t.Run(w.name, func(t *testing.T) {
+			found := 0
+			for n := 4; n <= 8 && found < 6; n++ {
+				for _, c := range enumerate.Connected(n) {
+					direct := w.run(c, directOpts())
+					if direct.Status != sim.Livelock {
+						continue
+					}
+					// Learn the cycle structure from a cold memoized run.
+					full := memo.NewOutcomes()
+					w.run(c, memoOpts(full))
+					initOut, ok := full.Load(w.key(c))
+					if !ok || initOut.Cycle == nil {
+						t.Fatalf("n=%d %s: livelock outcome not published", n, c.Key())
+					}
+					ci := initOut.Cycle
+					if initOut.Rounds == ci.Len || ci.Len < 2 {
+						continue // need tail ≥ 1 and cycle ≥ 2 to exercise the hazard
+					}
+					found++
+					for member := range ci.Members {
+						out, ok := full.Load(member)
+						if !ok {
+							t.Fatalf("n=%d %s: cycle member unpublished", n, c.Key())
+						}
+						partial := memo.NewOutcomes()
+						partial.Publish(member, out)
+						compare(t, "partial-cycle", c, direct, w.run(c, memoOpts(partial)))
+					}
+					if found >= 6 {
+						break
+					}
 				}
-				partial := memo.NewOutcomes()
-				partial.Publish(member, out)
-				memod := sim.Run(alg, c, memoOpts(partial))
-				compare(t, "partial-cycle", c, direct, memod)
 			}
-			if found >= 6 {
-				break
+			if found == 0 {
+				t.Fatal("no livelock pattern with tail and cycle found — hazard untested")
 			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("no livelock pattern with tail and cycle found — hazard untested")
+		})
 	}
 }
 
 // TestMemoizedConcurrentHammer races many goroutines over one shared
-// store (run with -race in CI): results must match the direct run no
-// matter which worker published which suffix first.
+// store per walker (run with -race in CI): results must match the
+// direct run no matter which worker published which suffix first.
 func TestMemoizedConcurrentHammer(t *testing.T) {
-	alg := core.Gatherer{}
 	pats := enumerate.Connected(6)
-	want := make([]sim.Result, len(pats))
-	for i, c := range pats {
-		want[i] = sim.Run(alg, c, directOpts())
-	}
-	st := memo.NewOutcomes()
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range pats {
-				j := (i + w*len(pats)/8) % len(pats) // staggered orders collide more
-				got := sim.Run(alg, pats[j], memoOpts(st))
-				if got.Status != want[j].Status || got.Rounds != want[j].Rounds || got.Moves != want[j].Moves {
-					select {
-					case errs <- fmt.Sprintf("pattern %s: got (%v,%d,%d) want (%v,%d,%d)",
-						pats[j].Key(), got.Status, got.Rounds, got.Moves, want[j].Status, want[j].Rounds, want[j].Moves):
-					default:
-					}
-				}
+	for _, w := range walkers() {
+		t.Run(w.name, func(t *testing.T) {
+			want := make([]sim.Result, len(pats))
+			for i, c := range pats {
+				want[i] = w.run(c, directOpts())
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+			st := memo.NewOutcomes()
+			var wg sync.WaitGroup
+			errs := make(chan string, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := range pats {
+						j := (i + g*len(pats)/8) % len(pats) // staggered orders collide more
+						got := w.run(pats[j], memoOpts(st))
+						if got.Status != want[j].Status || got.Rounds != want[j].Rounds || got.Moves != want[j].Moves {
+							select {
+							case errs <- fmt.Sprintf("pattern %s: got (%v,%d,%d) want (%v,%d,%d)",
+								pats[j].Key(), got.Status, got.Rounds, got.Moves, want[j].Status, want[j].Rounds, want[j].Moves):
+							default:
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Error(e)
+			}
+		})
 	}
 }

@@ -249,9 +249,10 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 		moving        []bool
 		seen          *config.PatternSet
 		key           memo.Key
+		w             Walk // memoized runs: the walk over the run's own trajectory
 	)
-	path := make([]pathState, 0, 8) // memoized runs: the walk's own trajectory
 	if st != nil {
+		w = Walk{maxRounds: maxRounds, path: make([]pathState, 0, 8)}
 		key = memo.KeyOf(cur)
 	}
 	moves := 0
@@ -261,11 +262,8 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 			return res
 		}
 		if st != nil {
-			path = append(path, pathState{key: key, cfg: curCfg, moves: moves})
-			if out, ok := st.Load(key); ok {
-				if r, spliced := splice(st, out, path, maxRounds); spliced {
-					return r
-				}
+			if r, spliced := w.Visit(st, key, curCfg, p, p, moves); spliced {
+				return r
 			}
 		}
 		if targets == nil { // robot count never grows, so n suffices
@@ -285,11 +283,10 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 		}
 		nxt, moved, coll := k.Round(cur, targets[:len(cur)], moving[:len(cur)], next[:0])
 		if coll != nil {
-			fin := configOf(curCfg, cur)
+			res.Status, res.Rounds, res.Moves, res.Final, res.Collision = Collision, p, moves, configOf(curCfg, cur), coll
 			if st != nil {
-				backfill(st, path, 0, 0, memo.Outcome{Status: uint8(Collision), Final: fin, Collision: coll})
+				w.Finish(st, res, p)
 			}
-			res.Status, res.Rounds, res.Moves, res.Final, res.Collision = Collision, p, moves, fin, coll
 			return res
 		}
 		if moved == 0 {
@@ -298,10 +295,10 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 			if goal(fin) {
 				status = Gathered
 			}
-			if st != nil {
-				backfill(st, path, 0, 0, memo.Outcome{Status: uint8(status), Final: fin})
-			}
 			res.Status, res.Rounds, res.Moves, res.Final = status, p, moves, fin
+			if st != nil {
+				w.Finish(st, res, p)
+			}
 			return res
 		}
 		moves += moved
@@ -314,14 +311,10 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 			res.Trace = append(res.Trace, curCfg)
 		}
 		if opts.StopOnDisconnect && !step.Connected(cur) {
-			fin := configOf(curCfg, cur)
+			res.Status, res.Rounds, res.Moves, res.Final = Disconnected, p+1, moves, configOf(curCfg, cur)
 			if st != nil {
-				// The disconnected state itself gets no outcome: a run
-				// starting there would step before noticing the split,
-				// which is a different fact from "ends here, disconnected".
-				backfill(st, path, 1, moves-path[p].moves, memo.Outcome{Status: uint8(Disconnected), Final: fin})
+				w.Finish(st, res, p+1)
 			}
-			res.Status, res.Rounds, res.Moves, res.Final = Disconnected, p+1, moves, fin
 			return res
 		}
 		if st != nil {
@@ -329,7 +322,7 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 		}
 		if opts.DetectCycles && !seen.AddNodes(cur) {
 			if st != nil {
-				closeCycle(st, path, key, moves)
+				w.CloseCycle(st, key, p+1, p+1, moves)
 			}
 			res.Status, res.Rounds, res.Moves, res.Final = Livelock, p+1, moves, configOf(curCfg, cur)
 			return res

@@ -163,9 +163,10 @@ type SpecDesc struct {
 	// "three", ...). Empty means "full", the Gatherer.
 	Alg string `json:"alg,omitempty"`
 	// Sched selects the scheduler: "fsync" (or empty), "ssync", or
-	// "cent". The adversary mode is deliberately not distributable yet:
-	// its solver shares one game-state memo whose state counts would
-	// differ across any shard split.
+	// "cent". The adversary mode stays single-process: n = 10 decides
+	// in about 35 s in one process, and its per-pattern solver state
+	// counts depend on which worker reaches a shared game state first,
+	// so a shard split would not reproduce them.
 	Sched string `json:"sched,omitempty"`
 	// Seeds is the number of activation schedules per pattern (seeds
 	// 1..Seeds, the cmd/verify -seeds contract). 0 means 1.
