@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -27,22 +28,30 @@ func main() {
 		sample = append(sample, all[i])
 	}
 
-	schedulers := []sched.Scheduler{
-		sched.FSYNC{},
-		sched.RoundRobin{},
-		sched.NewRandomSubset(1),
+	// The SSYNC adversary is one seeded source streamed across the
+	// sample: each run gets its own RandomSubset drawing from it (a
+	// RandomSubset records its schedule, so sharing one value would
+	// replay the first run's draws in every run).
+	rng := rand.New(rand.NewSource(1))
+	schedulers := []func() sched.Scheduler{
+		func() sched.Scheduler { return sched.FSYNC{} },
+		func() sched.Scheduler { return sched.RoundRobin{} },
+		func() sched.Scheduler { return sched.NewRandomSubsetFrom(rng) },
 	}
 	fmt.Printf("%-14s %9s %8s %9s %8s %7s\n", "scheduler", "gathered", "stalled", "livelock", "collide", "other")
-	for _, s := range schedulers {
+	for _, newSched := range schedulers {
 		counts := map[sim.Status]int{}
+		name := ""
 		for _, c := range sample {
+			s := newSched()
+			name = s.Name()
 			res := sched.Run(core.Gatherer{}, c, s, sim.Options{
 				DetectCycles: true, StopOnDisconnect: true, MaxRounds: 5000,
 			})
 			counts[res.Status]++
 		}
 		other := len(sample) - counts[sim.Gathered] - counts[sim.Stalled] - counts[sim.Livelock] - counts[sim.Collision]
-		fmt.Printf("%-14s %9d %8d %9d %8d %7d\n", s.Name(),
+		fmt.Printf("%-14s %9d %8d %9d %8d %7d\n", name,
 			counts[sim.Gathered], counts[sim.Stalled], counts[sim.Livelock], counts[sim.Collision], other)
 	}
 

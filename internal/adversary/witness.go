@@ -102,7 +102,10 @@ type replaySched struct{ w *Witness }
 // Name implements sched.Scheduler.
 func (replaySched) Name() string { return "adv-replay" }
 
-// Select implements sched.Scheduler.
+// Select implements sched.Scheduler: the witness's own recorded
+// subsets, and sched.Everyone's shared full activation once a witness
+// without a cycle runs out, which lets sched.Run decide a stall on the
+// spot.
 func (r replaySched) Select(n, round int) []int {
 	if round < len(r.w.Prefix) {
 		return r.w.Prefix[round]
@@ -110,18 +113,7 @@ func (r replaySched) Select(n, round int) []int {
 	if len(r.w.Cycle) > 0 {
 		return r.w.Cycle[(round-len(r.w.Prefix))%len(r.w.Cycle)]
 	}
-	return everyone(n)
-}
-
-// everyone returns the full activation set — the replay's fallback
-// once a witness without a cycle runs out, which lets sched.Run decide
-// a stall on the spot.
-func everyone(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return sched.Everyone(n)
 }
 
 // Verify re-simulates the witness through the ordinary sched/sim

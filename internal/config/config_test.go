@@ -91,7 +91,7 @@ func TestKeyTranslationInvariant(t *testing.T) {
 }
 
 func TestParseKeyErrors(t *testing.T) {
-	for _, bad := range []string{"1", "a,b", "1,2;3", "1,2,3"} {
+	for _, bad := range []string{"1", "a,b", "1,2;3", "1,2,3", "0,0;1073741824,0", "-1073741824,0"} {
 		if _, err := ParseKey(bad); err == nil {
 			t.Errorf("ParseKey(%q) accepted junk", bad)
 		}

@@ -8,8 +8,15 @@ import (
 	"repro/internal/grid"
 )
 
+// maxKeyCoord bounds the coordinates ParseKey accepts. Key normalizes
+// by subtracting the smallest node, and within ±maxKeyCoord that
+// difference cannot overflow, so every accepted key's Key() parses
+// back to the same pattern.
+const maxKeyCoord = 1<<30 - 1
+
 // ParseKey parses the canonical key format produced by Key:
-// "q,r;q,r;...". Whitespace around separators is tolerated.
+// "q,r;q,r;...". Whitespace around separators is tolerated;
+// coordinates outside ±(2³⁰−1) are refused.
 func ParseKey(s string) (Config, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -29,6 +36,9 @@ func ParseKey(s string) (Config, error) {
 		r, err := strconv.Atoi(strings.TrimSpace(qr[1]))
 		if err != nil {
 			return Config{}, fmt.Errorf("config: bad r in %q: %v", p, err)
+		}
+		if q < -maxKeyCoord || q > maxKeyCoord || r < -maxKeyCoord || r > maxKeyCoord {
+			return Config{}, fmt.Errorf("config: node %q outside the key range ±%d", p, maxKeyCoord)
 		}
 		nodes = append(nodes, grid.Coord{Q: q, R: r})
 	}

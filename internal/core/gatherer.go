@@ -110,7 +110,15 @@ func (g Gatherer) ComputePacked(pv vision.PackedView) Move {
 	if g.Table != nil || int(g.Variant) >= len(gathererMemos) {
 		return g.Compute(pv.Unpack())
 	}
-	return gathererMemos[g.Variant].compute(g, pv)
+	// The probe is inline rather than through memoTable.compute: passing
+	// g as its Algorithm argument would box the Gatherer on every Look.
+	t, key := gathererMemos[g.Variant], pv.Key64()
+	if mv, ok := t.load(key); ok {
+		return mv
+	}
+	mv := g.Compute(pv.Unpack())
+	t.store(key, mv)
+	return mv
 }
 
 var _ PackedAlgorithm = Gatherer{}

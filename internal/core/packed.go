@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/vision"
 )
@@ -38,6 +39,10 @@ const memoShards = 16
 type memoShard struct {
 	mu sync.RWMutex
 	m  map[uint64]Move
+	// pad the shard to its own cache line: every hit takes the read
+	// lock, which writes the RWMutex's reader count, and two shards to
+	// a line would make workers probing different shards contend.
+	_ [64 - unsafe.Sizeof(sync.RWMutex{}) - unsafe.Sizeof(map[uint64]Move(nil))]byte
 }
 
 func newMemoTable() *memoTable {

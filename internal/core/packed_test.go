@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/grid"
@@ -116,5 +117,37 @@ func TestSharedMemoSegregatesAlgorithms(t *testing.T) {
 		if got, want := paper.ComputePacked(v), (Gatherer{Variant: VariantPaper}).Compute(v.Unpack()); got != want {
 			t.Fatalf("paper variant served a wrong cached move: %v, want %v", got, want)
 		}
+	}
+}
+
+// TestGathererWarmHitAllocs: a warm Gatherer decision is a table probe
+// with no allocation — the unwrapped Gatherer is what the adversary
+// solver and every run without a shared cache decide through.
+func TestGathererWarmHitAllocs(t *testing.T) {
+	c := config.Line(grid.Origin, grid.E, 7)
+	var pvs []vision.PackedView
+	for _, pos := range c.Nodes() {
+		pv, _ := vision.Look(c, pos, 2).Pack()
+		pvs = append(pvs, pv)
+	}
+	g := Gatherer{}
+	for _, pv := range pvs {
+		g.ComputePacked(pv) // warm the process-wide table
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, pv := range pvs {
+			g.ComputePacked(pv)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Gatherer.ComputePacked allocates %.1f per %d Looks, want 0", allocs, len(pvs))
+	}
+}
+
+// TestMemoShardFillsCacheLine: each shard of a memo table sits on its
+// own 64-byte line, so read locks on different shards do not contend.
+func TestMemoShardFillsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(memoShard{}); size != 64 {
+		t.Fatalf("memoShard is %d bytes, want 64", size)
 	}
 }

@@ -7,6 +7,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/config"
@@ -22,8 +23,16 @@ type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
 	// Select returns the indices (into the sorted node list) of the
-	// robots activated this round. It must return at least one index for
-	// a fair scheduler.
+	// robots activated in the given round, ascending. It must return at
+	// least one index for a fair scheduler.
+	//
+	// For a given Scheduler value the result is a function of (n,
+	// round): asking again, in any order, returns the same activation.
+	// That is what lets one value serve many runs (a sweep builds one
+	// scheduler per seed, not one per run) and lets Run ask for the
+	// rounds it needs without perturbing later ones. The slice is
+	// read-only — it may be a view of storage shared with other rounds
+	// and other callers — and stays valid as long as the Scheduler does.
 	Select(n int, round int) []int
 }
 
@@ -43,6 +52,31 @@ type Periodic interface {
 	Period(n int) int
 }
 
+// identity backs the read-only activations Everyone and RoundRobin
+// hand out: identity[i] == i.
+var identity = func() (a [64]int) {
+	for i := range a {
+		a[i] = i
+	}
+	return a
+}()
+
+// Everyone returns the full activation 0..n-1 — FSYNC's every round,
+// and the fallback of schedulers that run out of recorded choices. The
+// slice is a read-only view of a shared array (robot counts past its
+// length get their own copy); its capacity is clipped, so an append by
+// the caller copies instead of writing into it.
+func Everyone(n int) []int {
+	if n <= len(identity) {
+		return identity[:n:n]
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // FSYNC activates every robot every round (the paper's model).
 type FSYNC struct{}
 
@@ -50,13 +84,7 @@ type FSYNC struct{}
 func (FSYNC) Name() string { return "fsync" }
 
 // Select implements Scheduler.
-func (FSYNC) Select(n, _ int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+func (FSYNC) Select(n, _ int) []int { return Everyone(n) }
 
 // Period implements Periodic: the FSYNC selection never varies.
 func (FSYNC) Period(int) int { return 1 }
@@ -69,25 +97,56 @@ type RoundRobin struct{}
 func (RoundRobin) Name() string { return "round-robin" }
 
 // Select implements Scheduler.
-func (RoundRobin) Select(n, round int) []int { return []int{round % n} }
+func (RoundRobin) Select(n, round int) []int {
+	i := round % n
+	if i < len(identity) {
+		return identity[i : i+1 : i+1]
+	}
+	return []int{i}
+}
 
 // Period implements Periodic: the rotation closes after n rounds.
 func (RoundRobin) Period(n int) int { return n }
 
 // RandomSubset activates a uniformly random non-empty subset each round —
 // a probabilistic SSYNC adversary. The zero value panics; build with
-// NewRandomSubsetFrom (or the seed convenience NewRandomSubset). The
-// scheduler owns no hidden global state: every draw comes from the
-// *rand.Rand it was built with, so runs are reproducible and concurrent
-// sweeps stay independent by giving each its own source. A *rand.Rand is
-// not safe for concurrent use — do not share one across parallel runs.
+// NewRandomSubset (from a seed) or NewRandomSubsetFrom (from a source).
+//
+// The schedule is recorded: the first time a round is asked for, the
+// value draws every round up to it in order, one subset per round from
+// its source, and after that Select replays the recorded subsets. So a
+// value is one fixed schedule, Select(n, r) returns the r-th draw
+// whatever order the rounds are asked in, and one value can drive any
+// number of runs, each of which sees exactly what a fresh value of the
+// same seed would show it. The schedule is for one robot count: a
+// value built with NewRandomSubset reseeds from its seed when n
+// changes (its schedule for the new n is a fresh value's); a value
+// built with NewRandomSubsetFrom cannot rewind its source and panics
+// instead.
+//
+// There is no hidden global state — every draw comes from the
+// value's own source — so runs are reproducible and concurrent sweeps
+// stay independent by giving each worker its own value. A RandomSubset
+// is not safe for concurrent use.
 type RandomSubset struct {
 	rng *rand.Rand
+	// seed is the source's seed when seeded is set (NewRandomSubset);
+	// a value built from a caller's source cannot reseed.
+	seed   int64
+	seeded bool
+	// n is the robot count of the recorded schedule (0 before the
+	// first Select). Round r's subset is idx[end[r-1]:end[r]], with
+	// end[-1] taken as 0.
+	n   int
+	idx []int
+	end []int
 }
 
 // NewRandomSubsetFrom returns an SSYNC scheduler drawing from the given
 // seeded source. It panics on a nil source rather than falling back to
-// the global one — reproducibility is the point.
+// the global one — reproducibility is the point. Callers that stream
+// one source across runs build one value per run from it, so each run
+// draws the rounds it reaches, in order, after the runs before it.
 func NewRandomSubsetFrom(rng *rand.Rand) *RandomSubset {
 	if rng == nil {
 		panic("sched: nil *rand.Rand; seed one with rand.New(rand.NewSource(seed))")
@@ -98,25 +157,48 @@ func NewRandomSubsetFrom(rng *rand.Rand) *RandomSubset {
 // NewRandomSubset returns an SSYNC scheduler with a fresh source seeded
 // with the given value.
 func NewRandomSubset(seed int64) *RandomSubset {
-	return NewRandomSubsetFrom(rand.New(rand.NewSource(seed)))
+	s := NewRandomSubsetFrom(rand.New(rand.NewSource(seed)))
+	s.seed, s.seeded = seed, true
+	return s
 }
 
 // Name implements Scheduler.
 func (*RandomSubset) Name() string { return "ssync-random" }
 
-// Select implements Scheduler.
-func (s *RandomSubset) Select(n, _ int) []int {
-	for {
-		var out []int
-		for i := 0; i < n; i++ {
+// Select implements Scheduler: the recorded subset of the round,
+// drawing up to it first if the round is new.
+func (s *RandomSubset) Select(n, round int) []int {
+	if n != s.n {
+		if s.n != 0 {
+			if !s.seeded {
+				panic(fmt.Sprintf("sched: RandomSubset from a caller's source asked for %d robots after %d; it cannot rewind the source", n, s.n))
+			}
+			s.rng.Seed(s.seed)
+		}
+		s.n, s.idx, s.end = n, s.idx[:0], s.end[:0]
+	}
+	for len(s.end) <= round {
+		s.draw()
+	}
+	lo, hi := 0, s.end[round]
+	if round > 0 {
+		lo = s.end[round-1]
+	}
+	return s.idx[lo:hi:hi]
+}
+
+// draw appends the next round's non-empty subset to the record: one
+// coin per robot in index order, redrawn whole when it comes up empty.
+func (s *RandomSubset) draw() {
+	start := len(s.idx)
+	for len(s.idx) == start {
+		for i := 0; i < s.n; i++ {
 			if s.rng.Intn(2) == 1 {
-				out = append(out, i)
+				s.idx = append(s.idx, i)
 			}
 		}
-		if len(out) > 0 {
-			return out
-		}
 	}
+	s.end = append(s.end, len(s.idx))
 }
 
 // Run executes alg from initial under the given scheduler. Robots not
@@ -124,11 +206,21 @@ func (s *RandomSubset) Select(n, _ int) []int {
 // for a Look). The outcome semantics match sim.Run; with the FSYNC
 // scheduler the two are identical.
 //
-// Like sim.Run, the loop rides the shared transition kernel
-// (internal/step): views go through the memoized packed fast path when
-// the algorithm provides one, collisions are checked by the kernel's
-// sorted detector, scratch buffers are reused across rounds, and cycle
-// detection keys patterns with config.PatternSet instead of strings.
+// The loop is written the way sim.Run's is: the configuration is a
+// sorted node slice, with the round scratch on the stack for up to 16
+// robots, and every round goes through the shared transition kernel
+// (internal/step) — packed views through the algorithm's memo table,
+// the kernel's sorted collision detector, step.Successor for the next
+// node set, step.Connected for the split check, and pattern sets fed
+// the raw nodes for cycle detection. A config.Config is built only
+// where one is needed: every state of a tier-B walk and of a trace,
+// and once at the end for Final, which is always the run's own copy
+// and never aliases initial. s.Select is asked once per loop
+// iteration, in round order; its result is read, never kept or
+// written. So with a scheduler that hands out shared activations
+// (FSYNC, RoundRobin, a RandomSubset replaying its record) and a
+// pooled Options.CycleSet, an unmemoized run allocates only for its
+// result.
 //
 // Cycle detection under partial activation: a repeated pattern alone
 // proves a livelock only when the future schedule is determined. For
@@ -189,11 +281,6 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 	if goal == nil {
 		goal = config.GoalFor(initial.Len())
 	}
-	cur := initial
-	res := sim.Result{Final: cur}
-	if opts.RecordTrace {
-		res.Trace = append(res.Trace, cur)
-	}
 	n := initial.Len()
 	period := 0 // 0: no declared period — full-activation rounds only
 	if per, ok := s.(Periodic); ok {
@@ -218,6 +305,35 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 		}
 		walk = sim.NewWalk(maxRounds, stallSlack)
 	}
+	var res sim.Result
+	if opts.RecordTrace {
+		res.Trace = append(res.Trace, initial)
+	}
+
+	// Runs of up to stackRobots robots keep the round scratch on the
+	// stack, as sim.Run does.
+	var stack struct {
+		cur, next, targets [stackRobots]grid.Coord
+		moving             [stackRobots]bool
+	}
+	var cur, next, targets []grid.Coord
+	var moving []bool
+	if n <= stackRobots {
+		cur, next, targets, moving = stack.cur[:0], stack.next[:0], stack.targets[:n], stack.moving[:n]
+	} else {
+		cur, next, targets, moving = make([]grid.Coord, 0, n), make([]grid.Coord, 0, n), make([]grid.Coord, n), make([]bool, n)
+	}
+	cur = initial.AppendNodes(cur)
+	// curCfg is cur as a Config where the walk or the trace needs one
+	// every state, and the zero Config otherwise (built at the end).
+	// The walk gets its own copy of the initial state: its path states
+	// become published Finals, and a caller's Config may be a window
+	// into a large slab (see sim.Run).
+	var curCfg config.Config
+	if walk != nil {
+		curCfg = config.New(cur...)
+	}
+
 	var seen *config.PatternSet    // phase-0 set (pooled via opts.CycleSet)
 	var phases []config.PatternSet // phase-1..period-1 sets, lazily zero-valued
 	if opts.DetectCycles {
@@ -227,21 +343,17 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 		} else {
 			seen = new(config.PatternSet)
 		}
-		seen.Add(cur) // the initial state sits at phase 0 either way
+		seen.AddNodes(cur) // the initial state sits at phase 0 either way
 		if period > 1 {
 			phases = make([]config.PatternSet, period-1)
 		}
 	}
-	robots := make([]grid.Coord, 0, n)
-	targets := make([]grid.Coord, n)
-	moving := make([]bool, n)
 	idle := 0 // consecutive rounds with no movement
 	for round := 0; round < maxRounds; round++ {
-		robots = cur.AppendNodes(robots[:0])
 		if idle == 0 && st != nil {
-			key := memo.KeyOf(robots)
+			key := memo.KeyOf(cur)
 			if walk != nil {
-				if r, spliced := walk.Visit(st, phaseKey(key, round, period), cur, round, res.Rounds, res.Moves); spliced {
+				if r, spliced := walk.Visit(st, phaseKey(key, round, period), curCfg, round, res.Rounds, res.Moves); spliced {
 					return r
 				}
 			}
@@ -250,29 +362,25 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 				// schedule (tier A, or a phased key that did not).
 				if out, ok := st.Load(key); ok && out.Rounds == 0 && out.Raw == 0 {
 					if r, spliced := sim.SpliceStall(out, res, round, idleLimit, maxRounds); spliced {
+						r.Final = configOf(curCfg, cur)
 						return r
 					}
 				}
 			}
 		}
-		active := s.Select(len(robots), round)
-		targets, moving = targets[:len(robots)], moving[:len(robots)]
+		active := s.Select(n, round)
+		copy(targets, cur)
+		clear(moving)
 		moved := 0
-		for i, p := range robots {
-			targets[i] = p
-			moving[i] = false
-		}
 		for _, i := range active {
-			if m := k.MoveAt(robots, robots[i]); m.IsMove() {
-				targets[i] = m.Apply(robots[i])
+			if m := k.MoveAt(cur, cur[i]); m.IsMove() {
+				targets[i] = m.Apply(cur[i])
 				moving[i] = true
 				moved++
 			}
 		}
-		if coll := step.DetectCollision(robots, targets, moving); coll != nil {
-			res.Status = sim.Collision
-			res.Collision = coll
-			res.Final = cur
+		if coll := step.DetectCollision(cur, targets, moving); coll != nil {
+			res.Status, res.Collision, res.Final = sim.Collision, coll, configOf(curCfg, cur)
 			if walk != nil {
 				walk.Finish(st, res, round)
 			}
@@ -286,23 +394,23 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 			// sets: for a periodic scheduler a whole idle period means
 			// no activated robot wants to move, which resolves through
 			// this stall path, not as a livelock.
-			if len(active) == len(robots) || idle >= idleLimit {
-				if goal(cur) {
+			if len(active) == n || idle >= idleLimit {
+				res.Final = configOf(curCfg, cur)
+				if goal(res.Final) {
 					res.Status = sim.Gathered
 				} else {
 					res.Status = sim.Stalled
 				}
-				res.Final = cur
 				if walk != nil {
 					walk.Finish(st, res, round)
-				} else if st != nil && len(active) == len(robots) {
+				} else if st != nil && len(active) == n {
 					// Tier A publishes only the full-activation proof:
 					// no robot moved with everyone active, so the
 					// pattern has no movers under any scheduler. A long
 					// idle streak proves that only for schedulers known
 					// to have activated every robot, which non-periodic
 					// schedules cannot guarantee.
-					st.Publish(memo.KeyOf(robots), memo.Outcome{Status: uint8(res.Status), Final: cur})
+					st.Publish(memo.KeyOf(cur), memo.Outcome{Status: uint8(res.Status), Final: res.Final})
 				}
 				return res
 			}
@@ -312,13 +420,16 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 		idle = 0
 		res.Rounds++
 		res.Moves += moved
-		cur = config.New(targets...)
-		res.Final = cur
-		if opts.RecordTrace {
-			res.Trace = append(res.Trace, cur)
+		cur, next = step.Successor(targets, next[:0]), cur
+		curCfg = config.Config{}
+		if walk != nil || opts.RecordTrace {
+			curCfg = config.New(cur...)
 		}
-		if opts.StopOnDisconnect && !cur.Connected() {
-			res.Status = sim.Disconnected
+		if opts.RecordTrace {
+			res.Trace = append(res.Trace, curCfg)
+		}
+		if opts.StopOnDisconnect && !step.Connected(cur) {
+			res.Status, res.Final = sim.Disconnected, configOf(curCfg, cur)
 			if walk != nil {
 				walk.Finish(st, res, round+1)
 			}
@@ -332,22 +443,34 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 				if ph := (round + 1) % period; ph != 0 {
 					set = &phases[ph-1]
 				}
-				if !set.Add(cur) {
-					res.Status = sim.Livelock
+				if !set.AddNodes(cur) {
+					res.Status, res.Final = sim.Livelock, configOf(curCfg, cur)
 					if walk != nil {
-						key := phaseKey(memo.KeyOf(cur.AppendNodes(robots[:0])), round+1, period)
-						walk.CloseCycle(st, key, round+1, res.Rounds, res.Moves)
+						walk.CloseCycle(st, phaseKey(memo.KeyOf(cur), round+1, period), round+1, res.Rounds, res.Moves)
 					}
 					return res
 				}
-			} else if len(active) == len(robots) && !seen.Add(cur) {
-				res.Status = sim.Livelock
+			} else if len(active) == n && !seen.AddNodes(cur) {
+				res.Status, res.Final = sim.Livelock, configOf(curCfg, cur)
 				return res
 			}
 		}
 	}
-	res.Status = sim.RoundLimit
+	res.Status, res.Final = sim.RoundLimit, configOf(curCfg, cur)
 	return res
+}
+
+// stackRobots is the largest robot count whose round scratch Run keeps
+// on the stack; larger configurations allocate it.
+const stackRobots = 16
+
+// configOf returns cfg, or builds the Config of the sorted nodes when
+// cfg is the zero Config (the loop did not keep one).
+func configOf(cfg config.Config, nodes []grid.Coord) config.Config {
+	if cfg.Len() == 0 {
+		return config.New(nodes...)
+	}
+	return cfg
 }
 
 // phaseKey keys the fresh state entering loop iteration round under a

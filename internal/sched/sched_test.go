@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -183,5 +184,83 @@ func BenchmarkRunRoundRobin(b *testing.B) {
 	c := config.Line(grid.Origin, grid.E, 7)
 	for i := 0; i < b.N; i++ {
 		Run(core.Gatherer{}, c, RoundRobin{}, sim.Options{MaxRounds: 5000})
+	}
+}
+
+// TestRandomSubsetReplay pins the round-indexed contract: a value
+// records its draws, so asking for round 40 and then round 3 returns
+// what a fresh value's sequential draws give for those rounds, and any
+// later request replays the record.
+func TestRandomSubsetReplay(t *testing.T) {
+	fresh := NewRandomSubset(5)
+	var want [][]int
+	for round := 0; round <= 40; round++ {
+		want = append(want, append([]int(nil), fresh.Select(7, round)...))
+	}
+	s := NewRandomSubset(5)
+	if got := s.Select(7, 40); !slices.Equal(got, want[40]) {
+		t.Fatalf("round 40: %v, want %v", got, want[40])
+	}
+	if got := s.Select(7, 3); !slices.Equal(got, want[3]) {
+		t.Fatalf("round 3 after 40: %v, want %v", got, want[3])
+	}
+	for round := 40; round >= 0; round-- {
+		if got := s.Select(7, round); !slices.Equal(got, want[round]) {
+			t.Fatalf("replayed round %d: %v, want %v", round, got, want[round])
+		}
+	}
+	// The view is read-only and capacity-clipped: appending to it must
+	// not write into the next round's record.
+	_ = append(s.Select(7, 3), 99)
+	if got := s.Select(7, 4); !slices.Equal(got, want[4]) {
+		t.Fatalf("round 4 after an append to round 3: %v, want %v", got, want[4])
+	}
+}
+
+// TestRandomSubsetReseedsOnNewN: a seeded value asked for another
+// robot count starts that count's schedule from its seed, exactly as a
+// fresh NewRandomSubset(seed) would, and going back does the same.
+func TestRandomSubsetReseedsOnNewN(t *testing.T) {
+	s := NewRandomSubset(11)
+	for round := 0; round < 20; round++ {
+		s.Select(7, round)
+	}
+	for _, n := range []int{5, 7} {
+		fresh := NewRandomSubset(11)
+		for round := 0; round < 30; round++ {
+			if got, want := s.Select(n, round), fresh.Select(n, round); !slices.Equal(got, want) {
+				t.Fatalf("n=%d round %d after a change of n: %v, want %v", n, round, got, want)
+			}
+		}
+	}
+}
+
+// TestRandomSubsetFromPanicsOnSecondN: a value built on a caller's
+// source cannot rewind it, so a second robot count is refused.
+func TestRandomSubsetFromPanicsOnSecondN(t *testing.T) {
+	s := NewRandomSubsetFrom(rand.New(rand.NewSource(3)))
+	s.Select(7, 0)
+	s.Select(7, 5) // same n: fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second robot count accepted")
+		}
+	}()
+	s.Select(6, 0)
+}
+
+// TestSharedActivationsAreViews: FSYNC and RoundRobin hand out views of
+// one shared identity array, clipped so an append cannot write into it.
+func TestSharedActivationsAreViews(t *testing.T) {
+	a := FSYNC{}.Select(7, 0)
+	if b := (FSYNC{}).Select(7, 9); cap(a) != 7 || &a[0] != &b[0] {
+		t.Fatalf("FSYNC selection is not a clipped shared view (cap %d)", cap(a))
+	}
+	_ = append(a, 99)
+	if got := (RoundRobin{}).Select(8, 7); len(got) != 1 || got[0] != 7 || cap(got) != 1 {
+		t.Fatalf("round-robin selection %v (cap %d)", got, cap(got))
+	}
+	if got := Everyone(100); len(got) != 100 || got[99] != 99 {
+		t.Fatal("Everyone past the shared array")
 	}
 }

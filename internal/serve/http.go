@@ -143,6 +143,11 @@ func (s *Service) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// maxSweepBody bounds the POST /sweep request body. A SpecDesc is a
+// few hundred bytes; the decoder stops reading past the limit, and the
+// request is answered 413.
+const maxSweepBody = 1 << 20
+
 // handleSweep streams a whole sweep as the internal/dist framed JSONL
 // protocol — the same bytes a sweepd worker emits for the full-range
 // shard, so existing dist.ReadShard consumers parse it directly. The
@@ -155,7 +160,12 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var desc sweep.SpecDesc
-	if err := json.NewDecoder(r.Body).Decode(&desc); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody)).Decode(&desc); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			s.met.Errors.Inc()
+			http.Error(w, fmt.Sprintf("spec larger than %d bytes", maxSweepBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("malformed spec: %v", err), http.StatusBadRequest)
 		return
 	}

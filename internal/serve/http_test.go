@@ -186,6 +186,23 @@ func TestHTTPSweep(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
+
+	// An oversized body is refused with 413 and counted as an error,
+	// without decoding past the limit: a valid spec behind more than
+	// maxSweepBody bytes of leading whitespace.
+	s, srv := testServer(t, Options{})
+	big := strings.Repeat(" ", maxSweepBody) + `{"n":4}`
+	resp, err = http.Post(srv.URL+"/sweep", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if got := s.met.Errors.Value(); got != 1 {
+		t.Errorf("errors counter %d after an oversized body, want 1", got)
+	}
 }
 
 // TestHTTPHealthzAndMetrics: liveness reports table coverage; the

@@ -60,12 +60,15 @@ type Spec struct {
 	N int
 	// Alg is the algorithm under test. Default core.Gatherer{}.
 	Alg core.Algorithm
-	// Scheduler builds the activation scheduler for one run from its
-	// seed. Nil selects FSYNC (the paper's model), which runs on
-	// sim.Run's allocation-free fast path. Non-nil runs go through
-	// sched.Run; the factory is called once per (pattern, seed) run, so
-	// stateful schedulers (SSYNC's seeded random subsets) are
-	// reconstructed identically regardless of worker scheduling.
+	// Scheduler builds the activation scheduler of one seed. Nil
+	// selects FSYNC (the paper's model), which runs on sim.Run. Non-nil
+	// runs go through sched.Run. Each worker calls the factory once per
+	// seed, the first time it runs that seed, and hands the value to
+	// every run of that seed: sched.Scheduler.Select is a function of
+	// (n, round) for a given value, so a reused value gives each run
+	// the schedule a fresh one would (SSYNC's seeded random subsets
+	// record their draws and replay them), whichever worker runs it.
+	// A factory must therefore return values that keep that contract.
 	Scheduler func(seed int64) sched.Scheduler
 	// Seeds lists the activation schedules each pattern is run under —
 	// the robustness axis of the SSYNC experiments. Each pattern runs
@@ -476,12 +479,19 @@ func runPlan(spec Spec) plan {
 				CycleSet:         &cycles,
 				Outcomes:         spec.OutcomeMemo,
 			}
+			// One scheduler per seed, built on the worker's first run
+			// of it; Index mod len(seeds) is the run's seed position.
+			schedulers := make([]sched.Scheduler, len(seeds))
 			return func(cr *CaseResult) error {
 				var res sim.Result
 				if spec.Scheduler == nil {
 					res = sim.Run(alg, cr.Initial, opts)
 				} else {
-					res = sched.Run(alg, cr.Initial, spec.Scheduler(cr.Seed), opts)
+					s := &schedulers[cr.Index%len(seeds)]
+					if *s == nil {
+						*s = spec.Scheduler(cr.Seed)
+					}
+					res = sched.Run(alg, cr.Initial, *s, opts)
 				}
 				cr.Status, cr.Rounds, cr.Moves = res.Status, res.Rounds, res.Moves
 				cr.Class = Classify(cr.Initial, res.Status)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/enumerate"
 	"repro/internal/grid"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -152,8 +153,9 @@ func TestContextCancellation(t *testing.T) {
 // TestSSYNCDeterministicAcrossWorkers runs the same seeded SSYNC
 // robustness sweep with one worker and with many and requires
 // bit-identical reports — cases, aggregates, robustness histogram.
-// Per-run schedulers are rebuilt from their seed, and aggregation is
-// in-order, so worker scheduling must not be observable.
+// Each worker's per-seed scheduler replays its seed's schedule in every
+// run, and aggregation is in-order, so worker scheduling must not be
+// observable.
 func TestSSYNCDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *sweep.Report {
 		rep, err := sweep.Run(context.Background(), sweep.Spec{
@@ -184,6 +186,40 @@ func TestSSYNCDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if sum != one.Patterns {
 		t.Fatalf("robustness histogram sums to %d patterns, want %d", sum, one.Patterns)
+	}
+}
+
+// TestSSYNCReusedSchedulerMatchesFresh: a worker builds one scheduler
+// per seed and hands it to every run of that seed. Every case must
+// equal a direct sched.Run under a fresh NewRandomSubset(seed), at one
+// worker and at several — a reused RandomSubset replays its recorded
+// draws, so no run sees another run's rounds.
+func TestSSYNCReusedSchedulerMatchesFresh(t *testing.T) {
+	seeds := sweep.SeedRange(1, 8)
+	opts := sim.Options{DetectCycles: true, StopOnDisconnect: true}
+	for _, n := range []int{6, 7} {
+		pats := enumerate.Connected(n)
+		for _, workers := range []int{1, 4} {
+			cases := 0
+			_, err := sweep.Stream(context.Background(), sweep.Spec{
+				N: n, Scheduler: sweep.SSYNC, Seeds: seeds, Workers: workers,
+			}, func(cr sweep.CaseResult) error {
+				cases++
+				res := sched.Run(core.Gatherer{}, pats[cr.Pattern], sched.NewRandomSubset(cr.Seed), opts)
+				if cr.Status != res.Status || cr.Rounds != res.Rounds || cr.Moves != res.Moves ||
+					cr.Class != sweep.Classify(pats[cr.Pattern], res.Status) {
+					return fmt.Errorf("n=%d workers=%d pattern %d seed %d: sweep (%v, %d, %d) != direct (%v, %d, %d)",
+						n, workers, cr.Pattern, cr.Seed, cr.Status, cr.Rounds, cr.Moves, res.Status, res.Rounds, res.Moves)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(pats) * len(seeds); cases != want {
+				t.Fatalf("n=%d workers=%d: %d cases, want %d", n, workers, cases, want)
+			}
+		}
 	}
 }
 
