@@ -220,7 +220,7 @@ Flags:
 	}
 	switch *schedName {
 	case "fsync":
-		// Spec default: sim.Run's allocation-free FSYNC fast path.
+		// Spec default: sched.FSYNC, every robot every round.
 	case "ssync":
 		spec.Scheduler = sweep.SSYNC
 	case "cent":

@@ -1,6 +1,10 @@
 package config
 
-import "repro/internal/grid"
+import (
+	"strconv"
+
+	"repro/internal/grid"
+)
 
 // This file implements the compact pattern keys of the packed engine.
 // Config.Key builds a string per call, which made enumeration dedup and
@@ -74,28 +78,51 @@ func (s *PatternSet) Add(c Config) bool { return s.AddNodes(c.nodes) }
 // AddNodes inserts the pattern of a raw node list (sorted by Q then R,
 // no duplicates) and reports whether it was absent. The slice is not
 // retained.
-func (s *PatternSet) AddNodes(nodes []grid.Coord) bool {
-	if k, ok := Key64Nodes(nodes); ok {
-		if _, dup := s.exact[k]; dup {
-			return false
+func (s *PatternSet) AddNodes(nodes []grid.Coord) bool { return s.AddPhase(nodes, 0) }
+
+// phaseShift places AddPhase's phase in the top phaseBits bits of the
+// compact keys, which are structurally zero: Key64 uses at most
+// 3 + 6·9 = 57 bits and Key128's Hi word at most 121 − 64 = 57.
+const (
+	phaseBits  = 7
+	phaseShift = 64 - phaseBits
+)
+
+// AddPhase inserts the pair (pattern of nodes, phase) and reports
+// whether it was absent: one set holds the execution states (pattern,
+// round mod period) of a periodic scheduler. Phase 0 is the bare
+// pattern, so AddNodes and AddPhase(nodes, 0) share entries. The phase
+// folds into the compact keys' zero top bits; past 2⁷−1 (no real
+// period comes close) it prefixes the string key instead.
+func (s *PatternSet) AddPhase(nodes []grid.Coord, phase int) bool {
+	if phase < 1<<phaseBits {
+		if k, ok := Key64Nodes(nodes); ok {
+			k |= uint64(phase) << phaseShift
+			if _, dup := s.exact[k]; dup {
+				return false
+			}
+			if s.exact == nil {
+				s.exact = make(map[uint64]struct{})
+			}
+			s.exact[k] = struct{}{}
+			return true
 		}
-		if s.exact == nil {
-			s.exact = make(map[uint64]struct{})
+		if k, ok := Key128Nodes(nodes); ok {
+			k.Hi |= uint64(phase) << phaseShift
+			if _, dup := s.wide[k]; dup {
+				return false
+			}
+			if s.wide == nil {
+				s.wide = make(map[Key128]struct{})
+			}
+			s.wide[k] = struct{}{}
+			return true
 		}
-		s.exact[k] = struct{}{}
-		return true
-	}
-	if k, ok := Key128Nodes(nodes); ok {
-		if _, dup := s.wide[k]; dup {
-			return false
-		}
-		if s.wide == nil {
-			s.wide = make(map[Key128]struct{})
-		}
-		s.wide[k] = struct{}{}
-		return true
 	}
 	k := New(nodes...).Key()
+	if phase != 0 {
+		k = strconv.Itoa(phase) + "@" + k
+	}
 	if _, dup := s.slow[k]; dup {
 		return false
 	}

@@ -321,6 +321,11 @@ func run(ctx context.Context, opts Options, meta sweep.Meta, ck *Checkpoint, agg
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+		// select picks at random when both are ready: a cancelled run
+		// absorbs nothing more, so its checkpoint ends where it stopped.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		shard := ck.Plan[out.idx]
 		if out.err != nil {
 			attempts[out.idx]++

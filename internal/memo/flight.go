@@ -62,6 +62,12 @@ func (f *Flight[V]) Do(key Key, compute func() (V, error)) (v V, shared bool, er
 		<-c.done
 		return c.val, true, c.err
 	}
+	// A flight that finished between the Load above and the Lock has
+	// published before leaving calls, so the store has its value now.
+	if v, ok := f.store.Load(key); ok {
+		f.mu.Unlock()
+		return v, true, nil
+	}
 	c := &flightCall[V]{done: make(chan struct{})}
 	f.calls[key] = c
 	f.mu.Unlock()

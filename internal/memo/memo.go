@@ -1,10 +1,10 @@
 // Package memo is the shared configuration-keyed state store: one
 // sharded, lock-striped, publish-once map from translation-invariant
 // pattern keys to final verdicts, consumed by every layer that caches
-// facts about configurations — the run-outcome memo (internal/sim's
-// memoized walk, which FSYNC sweeps and internal/sched's periodic
-// schedulers drive; sched's random schedules share no-mover facts
-// through it), and the adversarial safety-game solver
+// facts about configurations — the run-outcome memo (the memoized walk
+// of internal/sim's run loop under FSYNC and the periodic schedulers;
+// random schedules share no-mover facts through it), and the
+// adversarial safety-game solver
 // (internal/adversary). The machinery grew up inside the adversary
 // solver; this package is its extraction, generalized over the stored
 // value so both clients share one sharding scheme and one

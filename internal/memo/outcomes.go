@@ -8,9 +8,9 @@ import (
 // Outcome is one memoized run outcome: what happens — eventually,
 // regardless of round budget — to a deterministic execution that stands
 // at the keyed configuration (and phase). It is the value type of the
-// Outcomes store that sim.Walk — the one memoized walk, behind both
-// the FSYNC sweeps (internal/sim) and the periodic schedulers
-// (internal/sched) — consults and publishes.
+// Outcomes store that internal/sim's run loop consults and publishes:
+// its memoized walk for FSYNC and the periodic schedulers, and the
+// no-mover facts every scheduler shares.
 //
 // An Outcomes store is scoped to one (algorithm, goal, scheduler
 // semantics) triple: outcomes are facts about *that* deterministic
@@ -35,14 +35,14 @@ type Outcome struct {
 	// outcome: rounds in the sim.Result sense (moving rounds; the
 	// terminal all-stay observation is not counted).
 	Rounds int32
-	// Raw is the number of scheduler loop iterations consumed from this
+	// Raw is the number of run-loop iterations consumed from this
 	// state: equal to Rounds under FSYNC, larger under partial
 	// activation where idle (no-move) rounds burn budget without
 	// counting. Consumers use it for the round-budget splice guard. For
 	// the terminal statuses it is the 0-based index of the detecting
 	// iteration; for Livelock and Disconnected it is the iterations
 	// consumed through detection — matching, in both cases, how the
-	// direct loops charge their budgets.
+	// unmemoized loop charges its budget.
 	Raw int32
 	// Moves is the number of robot steps from this state to the outcome.
 	Moves int32
@@ -65,9 +65,8 @@ type Outcome struct {
 // consuming run's own prefix already entered the cycle, the repeat is
 // detected at the prefix's entry point, not after a full lap from the
 // hit — Members lets the consumer check (see the livelock splice
-// hazard in the comment atop internal/sim's memoized.go, home of
-// sim.Walk: the one memoized walk, driven by sim.Run and by sched.Run's
-// periodic schedulers).
+// hazard in the comment atop internal/sim's memoized.go, home of the
+// run loop's memoized walk).
 type CycleInfo struct {
 	// Len is the cycle length in counted rounds; RawLen in loop
 	// iterations (equal under FSYNC).

@@ -3,7 +3,8 @@
 // runs on the packed transition kernel (internal/step) and the
 // key-native enumerator; this package re-derives the same semantics the
 // slow, obvious way — map-based views (vision.Look), map-based collision
-// detection, string-keyed cycle detection and string-keyed enumeration —
+// detection, string-keyed cycle detection over (pattern, phase) states
+// and string-keyed enumeration —
 // sharing no code with the kernel beyond the data types and the
 // algorithms under test.
 //
@@ -13,6 +14,8 @@
 package oracle
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/config"
@@ -29,9 +32,33 @@ import (
 // performance knobs (CycleSet, Outcomes): sim.Run must match it
 // result for result.
 func Run(alg core.Algorithm, initial config.Config, opts sim.Options) sim.Result {
+	return RunActivated(alg, initial, nil, opts)
+}
+
+// RunActivated is Run under the activation a (nil: every robot, every
+// round) — the reference sim.RunActivated and sched.Run must match. It
+// spells out the partial-activation rules:
+//
+//   - an idle round (no activated robot moves) decides the state
+//     gathered or stalled only under full activation or after an idle
+//     streak of 4·n rounds; otherwise it burns budget without counting
+//     as a round;
+//   - under a sim.Periodic activation the cycle set holds (pattern,
+//     round mod period), and a repeat is a livelock;
+//   - under any other activation only the patterns reached by a
+//     full-activation round (and the initial one) enter the cycle set.
+func RunActivated(alg core.Algorithm, initial config.Config, a sim.Activation, opts sim.Options) sim.Result {
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = sim.DefaultMaxRounds
+	}
+	n := initial.Len()
+	period := 1 // 0: none declared
+	if a != nil {
+		period = 0
+		if p, ok := a.(sim.Periodic); ok {
+			period = max(p.Period(n), 1)
+		}
 	}
 	cur := initial
 	res := sim.Result{Final: cur}
@@ -40,14 +67,20 @@ func Run(alg core.Algorithm, initial config.Config, opts sim.Options) sim.Result
 	}
 	var seen map[string]bool
 	if opts.DetectCycles {
-		seen = map[string]bool{cur.Key(): true}
+		seen = map[string]bool{stateKey(cur, 0): true}
 	}
 	goal := opts.Goal
 	if goal == nil {
 		goal = config.GoalFor(initial.Len())
 	}
+	idle := 0
 	for round := 0; round < maxRounds; round++ {
-		next, moved, coll := Step(alg, cur)
+		var active []int
+		if a != nil {
+			active = a.Select(n, round)
+		}
+		full := a == nil || len(active) == n
+		next, moved, coll := stepActive(alg, cur, active)
 		if coll != nil {
 			res.Status = sim.Collision
 			res.Collision = coll
@@ -55,6 +88,10 @@ func Run(alg core.Algorithm, initial config.Config, opts sim.Options) sim.Result
 			return res
 		}
 		if moved == 0 {
+			if !full && idle < 4*n {
+				idle++
+				continue
+			}
 			if goal(cur) {
 				res.Status = sim.Gathered
 			} else {
@@ -63,6 +100,7 @@ func Run(alg core.Algorithm, initial config.Config, opts sim.Options) sim.Result
 			res.Final = cur
 			return res
 		}
+		idle = 0
 		res.Rounds++
 		res.Moves += moved
 		cur = next
@@ -74,8 +112,12 @@ func Run(alg core.Algorithm, initial config.Config, opts sim.Options) sim.Result
 			res.Status = sim.Disconnected
 			return res
 		}
-		if opts.DetectCycles {
-			k := cur.Key()
+		if opts.DetectCycles && (period > 0 || full) {
+			phase := 0
+			if period > 0 {
+				phase = (round + 1) % period
+			}
+			k := stateKey(cur, phase)
 			if seen[k] {
 				res.Status = sim.Livelock
 				return res
@@ -87,17 +129,31 @@ func Run(alg core.Algorithm, initial config.Config, opts sim.Options) sim.Result
 	return res
 }
 
+// stateKey names the execution state (pattern, phase).
+func stateKey(c config.Config, phase int) string {
+	return fmt.Sprintf("%d@%s", phase, c.Key())
+}
+
 // Step executes one FSYNC round with map-based views: every robot
 // Looks, Computes and Moves simultaneously. It returns the next
 // configuration, the number of robots that moved, and the first
 // collision found (nil if the round is legal); on collision the
 // returned configuration is the unchanged input.
 func Step(alg core.Algorithm, cur config.Config) (config.Config, int, *step.CollisionInfo) {
+	return stepActive(alg, cur, nil)
+}
+
+// stepActive is Step with only the robots of active (indices into the
+// sorted node list; nil: every robot) activated; the rest stay.
+func stepActive(alg core.Algorithm, cur config.Config, active []int) (config.Config, int, *step.CollisionInfo) {
 	robots := cur.Nodes()
-	targets := make([]grid.Coord, len(robots))
+	targets := cur.Nodes()
 	moving := make([]bool, len(robots))
 	moved := 0
 	for i, pos := range robots {
+		if active != nil && !slices.Contains(active, i) {
+			continue
+		}
 		m := alg.Compute(vision.Look(cur, pos, alg.VisibilityRange()))
 		targets[i] = m.Apply(pos)
 		moving[i] = m.IsMove()

@@ -1,13 +1,14 @@
 package sched
 
-// Equivalence tests for sched.Run's outcome-store clients: with
+// Equivalence tests for the outcome store under the schedulers: with
 // Options.Outcomes set, Run must report the same Status, Rounds and
-// Moves as the direct loop for every pattern, scheduler, round budget
-// and store state — tier B (internal/sim's memoized walk, sim.Walk,
-// driven over phase-folded keys) and tier A (universal no-mover facts)
-// are pure optimizations. The walk's partial-cycle hazard and
-// concurrent-publication tests live with it, in internal/sim's
-// memoized_test.go, and run over a round-robin walker too.
+// Moves as the unmemoized run for every pattern, scheduler, round
+// budget and store state — the run loop's memoized walk over
+// phase-folded keys (periodic schedulers) and its universal no-mover
+// facts (every scheduler) are pure optimizations. The walk's
+// partial-cycle hazard and concurrent-publication tests live with it,
+// in internal/sim's memoized_test.go, and run over a round-robin
+// walker too.
 
 import (
 	"fmt"

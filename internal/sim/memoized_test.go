@@ -4,8 +4,8 @@ package sim_test
 // Options.Outcomes set, sim.Run must report the same Status, Rounds
 // and Moves as the direct packed loop for every pattern, every round
 // budget, and every store state (cold, warm, partially published) —
-// the walk is a pure optimization, never a semantic change. The walk
-// is shared with internal/sched's periodic schedulers, so the hazard
+// the walk is a pure optimization, never a semantic change. The loop
+// walks under internal/sched's periodic schedulers too, so the hazard
 // and concurrency tests also drive it through sched.Run.
 
 import (
@@ -104,8 +104,8 @@ func TestMemoizedBudgetEquivalence(t *testing.T) {
 }
 
 // walker drives the memoized walk: sim.Run under FSYNC, or sched.Run
-// under a periodic scheduler (its tier B runs the same walk over
-// phase-folded keys, with idle iterations between fresh states).
+// under a periodic scheduler (the same walk over phase-folded keys,
+// with idle iterations between fresh states).
 type walker struct {
 	name string
 	run  func(c config.Config, opts sim.Options) sim.Result

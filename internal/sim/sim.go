@@ -1,7 +1,11 @@
 // Package sim executes Look-Compute-Move robot algorithms on triangular
-// grids under the fully synchronous (FSYNC) scheduler of the paper, checks
-// the three collision rules of Section II-A, detects stalls, livelocks and
-// disconnection, and records traces.
+// grids, checks the three collision rules of Section II-A, detects
+// stalls, livelocks and disconnection, and records traces. It holds the
+// one run loop: Run drives it under the fully synchronous (FSYNC)
+// scheduler of the paper, and RunActivated under any Activation — the
+// loop internal/sched's schedulers (SSYNC, CENT round-robin) run on.
+// The memoized configuration-graph walk (memoized.go) is a private
+// branch of that loop.
 package sim
 
 import (
@@ -108,9 +112,11 @@ type CollisionInfo = step.CollisionInfo
 // Result summarizes a run.
 type Result struct {
 	Status Status
-	// Rounds is the number of FSYNC rounds executed before the run ended
-	// (the terminal round that observed "everyone stays" is not counted —
-	// it changes nothing).
+	// Rounds is the number of rounds in which some robot moved before
+	// the run ended: under FSYNC every round executed (the terminal
+	// round that observed "everyone stays" is not counted — it changes
+	// nothing); under partial activation idle rounds are not counted
+	// either.
 	Rounds int
 	// Moves is the total number of robot steps taken.
 	Moves int
@@ -125,13 +131,14 @@ type Result struct {
 
 // Options tune a run.
 type Options struct {
-	// MaxRounds bounds the run; <= 0 selects DefaultMaxRounds.
+	// MaxRounds bounds the run's loop iterations — its rounds, idle
+	// ones included; <= 0 selects DefaultMaxRounds.
 	MaxRounds int
 	// RecordTrace keeps every intermediate configuration in the Result.
 	RecordTrace bool
-	// DetectCycles tracks visited patterns and reports Livelock on a
-	// repeat. It costs one map insertion per round and is on in the
-	// verifier; runs with it off rely on MaxRounds.
+	// DetectCycles tracks visited states and reports Livelock on a
+	// repeat. It costs one set insertion per moving round and is on in
+	// the verifier; runs with it off rely on MaxRounds.
 	DetectCycles bool
 	// StopOnDisconnect ends the run as soon as the configuration splits.
 	// The paper's algorithm never disconnects a configuration; the
@@ -144,34 +151,35 @@ type Options struct {
 	// E10 and E11). Explicit goals override, e.g. an experiment pinning
 	// a specific target shape.
 	Goal func(config.Config) bool
-	// CycleSet, when non-nil, is the pattern set the run uses for cycle
-	// detection; Run resets it before use, so one set can be pooled
+	// CycleSet, when non-nil, is the state set the run uses for cycle
+	// detection; the run resets it before use, so one set can be pooled
 	// across many runs (every sweep worker keeps one — the cycle-set
 	// maps were the largest remaining per-run allocation). It is
 	// ignored when DetectCycles is false.
 	CycleSet *config.PatternSet
 	// Outcomes, when non-nil, is the shared configuration→outcome
-	// store (internal/memo): FSYNC dynamics are deterministic, so a
-	// run's outcome is a pure function of its configuration, and the
-	// run becomes a walk of the configuration graph cut short at the
-	// first state whose outcome is already known — with the walked
-	// suffix published backwards along the step.Successor edges for
-	// every later run (of the same sweep, or any sweep sharing the
-	// store) to reuse. Engaged only with DetectCycles and
+	// store (internal/memo). It is engaged only with DetectCycles and
 	// StopOnDisconnect set and RecordTrace off — the standard sweep
-	// options — and ignored otherwise.
+	// options — and ignored otherwise (a splice cannot rebuild a
+	// trace). Under FSYNC and any Periodic activation the dynamics are
+	// deterministic, and the run becomes a walk of the configuration
+	// graph cut short at the first state whose outcome the store knows,
+	// publishing what it walked for every later run to reuse; under any
+	// other activation it shares only the schedule-independent no-mover
+	// facts (memoized.go).
 	//
 	// Status, Rounds and Moves are bit-identical to the unmemoized
 	// run. Final and Collision may come from a translated
 	// representative of the terminal state (pattern keys are
 	// translation-invariant, so a memoized suffix may have been walked
-	// from a translated copy).
+	// from a translated copy); Final never aliases the caller's
+	// initial configuration.
 	//
-	// The store is scoped to one (algorithm, goal) pair: outcomes are
-	// facts about that deterministic dynamics, and sharing a store
-	// across different algorithms or goal predicates is a caller error
-	// the store cannot detect. Robot count needs no scoping — the key
-	// encodes it.
+	// The store is scoped to one algorithm, one goal and at most one
+	// periodic scheduler besides FSYNC (whose facts every scheduler
+	// shares): outcomes are facts about that dynamics, and mixing them
+	// is a caller error the store cannot detect. Robot count needs no
+	// scoping — the key encodes it.
 	Outcomes *memo.Outcomes
 }
 
@@ -180,25 +188,88 @@ type Options struct {
 // far beyond any legitimate run.
 const DefaultMaxRounds = 10000
 
-// stackRobots is the largest robot count whose round scratch Run keeps
-// on the stack; larger configurations allocate it.
-const stackRobots = 16
+// Activation chooses the robots each round activates. internal/sched's
+// schedulers implement it; Run is the activation "everyone, every
+// round".
+type Activation interface {
+	// Select returns the indices (into the sorted node list) of the
+	// robots activated in the given round, ascending. It must return at
+	// least one index for a fair scheduler.
+	//
+	// For a given value the result is a function of (n, round): asking
+	// again, in any order, returns the same activation. That is what
+	// lets one value serve many runs (a sweep builds one scheduler per
+	// seed, not one per run) and lets the loop ask for the rounds it
+	// needs without perturbing later ones. The slice is read-only — it
+	// may be a view of storage shared with other rounds and other
+	// callers — and stays valid as long as the value does.
+	Select(n int, round int) []int
+}
+
+// Periodic is implemented by deterministic activations whose selection
+// depends only on the robot count and the round number modulo a fixed
+// period: Select(n, r) == Select(n, r+Period(n)) for every r. For such
+// an activation the execution state is exactly (pattern, round mod
+// period) — the dynamics are deterministic and translation-invariant —
+// so the loop keys its cycle detection and its outcome memo on that
+// pair, and a repeat is a proved livelock. Without a declared period a
+// repeated pattern under partial activation proves nothing (a
+// different later activation may still escape), so only patterns
+// reached by a full-activation round enter the cycle set; such a
+// run's deterministic defeats end in RoundLimit, not Livelock.
+type Periodic interface {
+	Activation
+	// Period returns the period for n robots (at least 1).
+	Period(n int) int
+}
 
 // Run executes alg from the initial configuration under FSYNC until the
 // system gathers, fails, or exhausts the round budget.
-//
-// There is one run loop. It holds the configuration as a reused sorted
-// slice and drives every round through the shared transition kernel
-// (internal/step): packed views, moves through the algorithm's memo
-// table, collision and disconnection checks by index scans, cycle
-// detection in a pattern set — so a steady-state round allocates
-// nothing. Memoization is the one branch: with Options.Outcomes set
-// (and the standard sweep options) the loop also keeps its trajectory,
-// consults the store before every round, and publishes what it walked
-// (memoized.go). The test-only internal/oracle package holds the
-// independent map/string reference this loop must match result for
-// result.
 func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
+	return run(alg, initial, nil, opts)
+}
+
+// RunActivated executes alg from the initial configuration under the
+// activation a: robots not activated in a round keep their positions
+// (they do not even Look). The outcome semantics are Run's, which is
+// the activation "everyone, every round".
+func RunActivated(alg core.Algorithm, initial config.Config, a Activation, opts Options) Result {
+	return run(alg, initial, a, opts)
+}
+
+// stackRobots is the largest robot count whose round scratch the loop
+// keeps on the stack; larger configurations allocate it.
+const stackRobots = 16
+
+// run is the one run loop; a nil activation is FSYNC.
+//
+// It holds the configuration as a reused sorted slice and drives every
+// round through the shared transition kernel (internal/step): packed
+// views, moves through the algorithm's memo table, collision and
+// disconnection checks by index scans, cycle detection in a pattern
+// set fed the raw nodes — so a steady-state round allocates nothing. A
+// config.Config is built only where one is kept: every state of a
+// memoized walk, every trace entry, and the Final, which is the run's
+// own copy and never aliases initial (a caller's Config may be a
+// window into a large slab — enumerate materializes whole pattern
+// lists in one — and a Final aliasing it would keep the whole slab
+// alive). a.Select is asked once per loop iteration, in round order,
+// and its result is read, never kept or written.
+//
+// An idle round (nobody activated wants to move) under partial
+// activation is not conclusive: a different activation may still
+// move. It burns budget without counting as a round, and only a full
+// activation, or a streak of 4·n idle rounds, decides the state
+// gathered or stalled. Idle rounds never enter the cycle set: for a
+// periodic activation a whole idle period means no activated robot
+// wants to move, which resolves through that stall rule.
+//
+// Memoization is one branch of the loop (Options.Outcomes): a walk
+// over the run's own fresh states for FSYNC and periodic activations,
+// the no-mover facts for the rest (memoized.go). The test-only
+// internal/oracle package holds the independent map/string reference
+// this loop must match result for result.
+func run(alg core.Algorithm, initial config.Config, a Activation, opts Options) Result {
 	k := step.New(alg)
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
@@ -208,9 +279,26 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 	if goal == nil {
 		goal = config.GoalFor(initial.Len())
 	}
+	n := initial.Len()
+	period := 1 // 0: no declared period — full-activation rounds only
+	if a != nil {
+		period = 0
+		if p, ok := a.(Periodic); ok {
+			period = max(p.Period(n), 1)
+		}
+	}
+	// idleLimit is the idle streak after which the loop decides a
+	// no-mover state under partial activation; stallSlack is the most
+	// idle iterations it can spend deciding one (0 when every robot is
+	// activated every round, which decides at once).
+	idleLimit := 4 * n
+	stallSlack := idleLimit
+	if a == nil || period == 1 && len(a.Select(n, 0)) == n {
+		stallSlack = 0
+	}
 	st := opts.Outcomes
 	if !opts.DetectCycles || !opts.StopOnDisconnect || opts.RecordTrace {
-		st = nil // outcomes describe standard runs; a splice cannot rebuild a trace
+		st = nil
 	}
 	var res Result
 	if opts.RecordTrace {
@@ -218,55 +306,65 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 	}
 
 	// Runs of up to stackRobots robots keep the round scratch on the
-	// stack: a sweep makes one Run per pattern, and these buffers were
+	// stack: a sweep makes one run per pattern, and these buffers were
 	// most of its garbage.
 	var stack struct {
 		cur, next, targets [stackRobots]grid.Coord
 		moving             [stackRobots]bool
 	}
-	n := initial.Len()
 	var cur []grid.Coord
 	if n <= stackRobots {
 		cur = initial.AppendNodes(stack.cur[:0])
 	} else {
 		cur = initial.AppendNodes(make([]grid.Coord, 0, n))
 	}
-	// curCfg is cur as a Config when the memo or the trace needs one
-	// every round, and the zero Config otherwise (built only at the end).
-	// Outside the memo it never starts as initial: a caller's Config may
-	// be a window into a large slab (enumerate materializes whole
-	// pattern lists in one), and a Final aliasing it would keep the
-	// whole slab alive for as long as the Result lives.
+	// curCfg is cur as a Config when the walk or the trace keeps one
+	// every state, and the zero Config otherwise (built only at the
+	// end). It never starts as initial; the walk copies the initial
+	// state only if that state becomes a Final.
 	var curCfg config.Config
-	if st != nil {
-		curCfg = initial
-	}
 	// The round scratch and the cycle set start at the first executed
-	// round: on a warm store the initial state's Load splices the whole
-	// run, which then costs one key and one shard probe.
+	// round: on a warm store the initial state's probe splices the
+	// whole run, which then costs one key and one shard probe.
 	var (
 		next, targets []grid.Coord
 		moving        []bool
 		seen          *config.PatternSet
-		key           memo.Key
-		w             Walk // memoized runs: the walk over the run's own trajectory
+		ownSet        config.PatternSet // the cycle set when Options.CycleSet is nil
+		w             walk              // periodic memoized runs: the walk over the run's own trajectory
 	)
-	if st != nil {
-		w = Walk{maxRounds: maxRounds, path: make([]pathState, 0, 8)}
-		key = memo.KeyOf(cur)
+	walking := st != nil && period > 0
+	if walking {
+		w = walk{maxRounds: maxRounds, stallSlack: stallSlack, initial: initial, path: make([]pathState, 0, 8)}
 	}
-	moves := 0
-	for p := 0; ; p++ { // p: rounds executed so far
-		if p == maxRounds {
-			res.Status, res.Rounds, res.Moves, res.Final = RoundLimit, p, moves, configOf(curCfg, cur)
+	// round counts loop iterations, idle ones included; idle counts
+	// the current streak of rounds with no movement.
+	idle := 0
+	for round := 0; ; round++ {
+		if round == maxRounds {
+			res.Status, res.Final = RoundLimit, configOf(curCfg, cur)
 			return res
 		}
-		if st != nil {
-			if r, spliced := w.Visit(st, key, curCfg, p, p, moves); spliced {
-				return r
+		if idle == 0 && st != nil {
+			key := memo.KeyOf(cur)
+			if walking {
+				if r, spliced := w.visit(st, phaseKey(key, round, period), curCfg, round, res.Rounds, res.Moves); spliced {
+					return r
+				}
+			}
+			if !walking || period > 1 {
+				// A universal no-mover fact at the bare key ends any
+				// schedule (a non-periodic one, or a phased key that
+				// did not).
+				if out, ok := st.Load(key); ok && out.Rounds == 0 && out.Raw == 0 {
+					if status, ok := stallFact(out, round, stallSlack, maxRounds); ok {
+						res.Status, res.Final = status, configOf(curCfg, cur)
+						return res
+					}
+				}
 			}
 		}
-		if targets == nil { // robot count never grows, so n suffices
+		if targets == nil { // robot count never changes, so n suffices
 			if n <= stackRobots {
 				next, targets, moving = stack.next[:0], stack.targets[:n], stack.moving[:n]
 			} else {
@@ -276,58 +374,104 @@ func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 				if seen = opts.CycleSet; seen != nil {
 					seen.Reset()
 				} else {
-					seen = new(config.PatternSet)
+					seen = &ownSet
 				}
-				seen.AddNodes(cur)
+				seen.AddNodes(cur) // the initial state sits at phase 0
 			}
 		}
-		nxt, moved, coll := k.Round(cur, targets[:len(cur)], moving[:len(cur)], next[:0])
-		if coll != nil {
-			res.Status, res.Rounds, res.Moves, res.Final, res.Collision = Collision, p, moves, configOf(curCfg, cur), coll
-			if st != nil {
-				w.Finish(st, res, p)
+		var active []int // nil: every robot
+		if a != nil {
+			active = a.Select(n, round)
+		}
+		full := active == nil || len(active) == n
+		moved := activate(k, cur, active, targets, moving)
+		if coll := step.DetectCollision(cur, targets, moving); coll != nil {
+			res.Status, res.Final, res.Collision = Collision, configOf(curCfg, cur), coll
+			if walking {
+				w.finish(st, res, round)
 			}
 			return res
 		}
 		if moved == 0 {
-			fin := configOf(curCfg, cur)
-			status := Stalled
-			if goal(fin) {
-				status = Gathered
+			if !full && idle < idleLimit {
+				idle++
+				continue
 			}
-			res.Status, res.Rounds, res.Moves, res.Final = status, p, moves, fin
-			if st != nil {
-				w.Finish(st, res, p)
+			res.Status, res.Final = Stalled, configOf(curCfg, cur)
+			if goal(res.Final) {
+				res.Status = Gathered
+			}
+			if walking {
+				w.finish(st, res, round)
+			} else if st != nil && full {
+				// A full activation proved the pattern has no movers
+				// under any scheduler; a long idle streak proves that
+				// only for schedules known to have activated every
+				// robot, which non-periodic ones cannot guarantee.
+				st.Publish(memo.KeyOf(cur), memo.Outcome{Status: uint8(res.Status), Final: res.Final})
 			}
 			return res
 		}
-		moves += moved
-		cur, next = nxt, cur
+		idle = 0
+		res.Rounds++
+		res.Moves += moved
+		cur, next = step.Successor(targets, next[:0]), cur
 		curCfg = config.Config{}
-		if st != nil || opts.RecordTrace {
+		if walking || opts.RecordTrace {
 			curCfg = config.New(cur...)
 		}
 		if opts.RecordTrace {
 			res.Trace = append(res.Trace, curCfg)
 		}
 		if opts.StopOnDisconnect && !step.Connected(cur) {
-			res.Status, res.Rounds, res.Moves, res.Final = Disconnected, p+1, moves, configOf(curCfg, cur)
-			if st != nil {
-				w.Finish(st, res, p+1)
+			res.Status, res.Final = Disconnected, configOf(curCfg, cur)
+			if walking {
+				w.finish(st, res, round+1)
 			}
 			return res
 		}
-		if st != nil {
-			key = memo.KeyOf(cur)
-		}
-		if opts.DetectCycles && !seen.AddNodes(cur) {
-			if st != nil {
-				w.CloseCycle(st, key, p+1, p+1, moves)
+		if opts.DetectCycles && (period > 0 || full) {
+			// The state entering the next round is (cur, phase); a
+			// repeat replays the same deterministic future forever.
+			phase := 0
+			if period > 1 {
+				phase = (round + 1) % period
 			}
-			res.Status, res.Rounds, res.Moves, res.Final = Livelock, p+1, moves, configOf(curCfg, cur)
-			return res
+			if !seen.AddPhase(cur, phase) {
+				res.Status, res.Final = Livelock, configOf(curCfg, cur)
+				if walking {
+					w.closeCycle(st, phaseKey(memo.KeyOf(cur), round+1, period), round+1, res.Rounds, res.Moves)
+				}
+				return res
+			}
 		}
 	}
+}
+
+// activate is the Look-Compute phase of one round: every robot of
+// active (nil: every robot) decides from the sorted node set cur, and
+// targets and moving (both of length len(cur)) record where each robot
+// goes; the rest stay. It returns the number of movers.
+func activate(k step.Kernel, cur []grid.Coord, active []int, targets []grid.Coord, moving []bool) int {
+	copy(targets, cur)
+	clear(moving)
+	m := len(cur)
+	if active != nil {
+		m = len(active)
+	}
+	moved := 0
+	for j := 0; j < m; j++ {
+		i := j
+		if active != nil {
+			i = active[j]
+		}
+		if mv := k.MoveAt(cur, cur[i]); mv.IsMove() {
+			targets[i] = mv.Apply(cur[i])
+			moving[i] = true
+			moved++
+		}
+	}
+	return moved
 }
 
 // configOf returns cfg, or builds the Config of the sorted nodes when
@@ -339,6 +483,18 @@ func configOf(cfg config.Config, nodes []grid.Coord) config.Config {
 	return cfg
 }
 
+// phaseKey keys the fresh state entering loop iteration round under a
+// periodic activation: period 1 (FSYNC) uses the bare pattern key, so
+// FSYNC facts serve every scheduler's no-mover probe, and longer
+// periods shift into phase slots 1..period so they never collide with
+// bare keys.
+func phaseKey(k memo.Key, round, period int) memo.Key {
+	if period > 1 {
+		return k.WithPhase(round%period + 1)
+	}
+	return k
+}
+
 // Step executes one FSYNC round through the kernel: every robot Looks,
 // Computes and Moves simultaneously. It returns the next configuration,
 // the number of robots that moved, and the first collision found (nil
@@ -346,9 +502,13 @@ func configOf(cfg config.Config, nodes []grid.Coord) config.Config {
 // returned configuration is the unchanged input.
 func Step(alg core.Algorithm, cur config.Config) (config.Config, int, *CollisionInfo) {
 	nodes := cur.Nodes()
-	next, moved, coll := step.New(alg).Round(nodes, make([]grid.Coord, len(nodes)), make([]bool, len(nodes)), nil)
-	if coll != nil || moved == 0 {
+	targets, moving := make([]grid.Coord, len(nodes)), make([]bool, len(nodes))
+	moved := activate(step.New(alg), nodes, nil, targets, moving)
+	if coll := step.DetectCollision(nodes, targets, moving); coll != nil {
 		return cur, 0, coll
 	}
-	return config.New(next...), moved, nil
+	if moved == 0 {
+		return cur, 0, nil
+	}
+	return config.FromSortedNodes(step.Successor(targets, nil)), moved, nil
 }

@@ -1,17 +1,18 @@
 // Package step is the shared packed transition kernel: the single
 // look→compute→move implementation of the system's dynamics, consumed
-// by every execution layer — the FSYNC round loop (internal/sim), the
-// partial-activation schedulers (internal/sched), and the adversarial
+// by both execution layers — the one run loop (internal/sim, which
+// every scheduler of internal/sched runs on) and the adversarial
 // safety-game solver (internal/adversary).
 //
 // One SSYNC round is an activation choice followed by a simultaneous
 // deterministic step: each activated robot Looks, Computes and Moves at
 // once, the rest keep their positions (FSYNC is the choice "everyone").
-// Before the kernel existed, that step was reimplemented three times —
-// the FSYNC round loop, sched.Run, and adversary's expand/applySubset —
-// each with its own copy of the packed-view fast path, the §II-A collision
-// rules, the disconnection check and the sorted-slice bookkeeping. The
-// kernel is the one place all of it lives now:
+// That step was once reimplemented three times — an FSYNC round loop,
+// a scheduler loop, and adversary's expand/applySubset — each with its
+// own copy of the packed-view fast path, the §II-A collision rules,
+// the disconnection check and the sorted-slice bookkeeping; the two
+// loops are now one, taking the activation as a parameter. The kernel
+// is the one place all of it lives:
 //
 //   - Kernel binds an algorithm to the look→compute machinery: every
 //     Look is a packed bitmask view taken straight from the sorted node

@@ -61,8 +61,8 @@ type Spec struct {
 	// Alg is the algorithm under test. Default core.Gatherer{}.
 	Alg core.Algorithm
 	// Scheduler builds the activation scheduler of one seed. Nil
-	// selects FSYNC (the paper's model), which runs on sim.Run. Non-nil
-	// runs go through sched.Run. Each worker calls the factory once per
+	// selects sched.FSYNC (the paper's model). Every run goes through
+	// sched.Run, the one run loop. Each worker calls the factory once per
 	// seed, the first time it runs that seed, and hands the value to
 	// every run of that seed: sched.Scheduler.Select is a function of
 	// (n, round) for a given value, so a reused value gives each run
@@ -435,8 +435,8 @@ func Stream(ctx context.Context, spec Spec, visit func(CaseResult) error) (*Repo
 	return report, nil
 }
 
-// runPlan runs every (pattern, seed) pair through sim.Run (FSYNC) or
-// sched.Run (any other scheduler).
+// runPlan runs every (pattern, seed) pair through sched.Run under the
+// spec's scheduler, FSYNC by default.
 func runPlan(spec Spec) plan {
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
@@ -446,9 +446,9 @@ func runPlan(spec Spec) plan {
 	if spec.Cache != nil {
 		alg = core.Memoize(alg, spec.Cache)
 	}
-	schedName := "fsync"
-	if spec.Scheduler != nil {
-		schedName = spec.Scheduler(seeds[0]).Name()
+	newSched := spec.Scheduler
+	if newSched == nil {
+		newSched = func(int64) sched.Scheduler { return sched.FSYNC{} }
 	}
 	// Counter snapshots, not absolute values: the store may arrive warm
 	// from an earlier sweep, and the Report describes this sweep only.
@@ -459,7 +459,7 @@ func runPlan(spec Spec) plan {
 	return plan{
 		meta: Meta{
 			Algorithm: alg.Name(),
-			Scheduler: schedName,
+			Scheduler: newSched(seeds[0]).Name(),
 			Robots:    spec.N,
 			Source:    spec.Source.Label(),
 			Patterns:  spec.Source.Count(),
@@ -483,16 +483,11 @@ func runPlan(spec Spec) plan {
 			// of it; Index mod len(seeds) is the run's seed position.
 			schedulers := make([]sched.Scheduler, len(seeds))
 			return func(cr *CaseResult) error {
-				var res sim.Result
-				if spec.Scheduler == nil {
-					res = sim.Run(alg, cr.Initial, opts)
-				} else {
-					s := &schedulers[cr.Index%len(seeds)]
-					if *s == nil {
-						*s = spec.Scheduler(cr.Seed)
-					}
-					res = sched.Run(alg, cr.Initial, *s, opts)
+				s := &schedulers[cr.Index%len(seeds)]
+				if *s == nil {
+					*s = newSched(cr.Seed)
 				}
+				res := sched.Run(alg, cr.Initial, *s, opts)
 				cr.Status, cr.Rounds, cr.Moves = res.Status, res.Rounds, res.Moves
 				cr.Class = Classify(cr.Initial, res.Status)
 				return nil

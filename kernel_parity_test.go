@@ -5,9 +5,11 @@ package repro
 // entire configuration spaces: every run of every pattern of the full
 // n = 5 and n = 6 spaces must produce the identical Status/Rounds/Moves
 // and final configuration under FSYNC as the independent map/string
-// reference loop (internal/oracle), and under eight seeded SSYNC
-// schedules whether the algorithm decides through its packed memo
-// table or through the map-based Compute.
+// reference loop (internal/oracle); under round-robin, eight seeded
+// SSYNC schedules and an undeclared-period activation as the oracle's
+// activation loop; and under the SSYNC schedules whether the algorithm
+// decides through its packed memo table or through the map-based
+// Compute.
 
 import (
 	"testing"
@@ -82,6 +84,67 @@ func TestKernelParityFailureStatuses(t *testing.T) {
 	for _, s := range []sim.Status{sim.Collision, sim.Stalled} {
 		if statuses[s] == 0 {
 			t.Fatalf("no %v run in the parity sweep; it checked nothing for that status", s)
+		}
+	}
+}
+
+// alternating activates everyone on even rounds and one robot, in
+// rotation, on odd rounds, without declaring a period: only its
+// full-activation rounds may enter the cycle set.
+type alternating struct{}
+
+func (alternating) Name() string { return "alternating" }
+
+func (alternating) Select(n, round int) []int {
+	if round%2 == 0 {
+		return sched.Everyone(n)
+	}
+	return []int{round / 2 % n}
+}
+
+// TestKernelParityPartialActivation sweeps the complete n = 5 and
+// n = 6 spaces through sched.Run against the oracle's own activation
+// loop (oracle.RunActivated: map views, string-keyed (pattern, phase)
+// states) under the centralized round-robin scheduler, eight seeded
+// SSYNC schedules and an undeclared-period activation, bit-for-bit.
+// Those cover the idle-streak stall rule, the (pattern, round mod
+// period) cycle rule and the full-activation-only cycle rule; the
+// status tally checks that each run family reached the outcomes its
+// rule decides.
+func TestKernelParityPartialActivation(t *testing.T) {
+	opts := sim.Options{DetectCycles: true, StopOnDisconnect: true, MaxRounds: 5000}
+	alg := core.Gatherer{}
+	tally := map[string]map[sim.Status]int{}
+	check := func(family string, c config.Config, s sched.Scheduler) {
+		res := sched.Run(alg, c, s, opts)
+		assertSameRun(t, family, c, res, oracle.RunActivated(alg, c, s, opts))
+		if tally[family] == nil {
+			tally[family] = map[sim.Status]int{}
+		}
+		tally[family][res.Status]++
+	}
+	for _, n := range []int{5, 6} {
+		for _, c := range enumerate.Connected(n) {
+			check("round-robin", c, sched.RoundRobin{})
+			for seed := int64(1); seed <= 8; seed++ {
+				check("ssync", c, sched.NewRandomSubset(seed))
+			}
+			check("alternating", c, alternating{})
+		}
+	}
+	// Round-robin never activates everyone, so its gathered runs were
+	// all decided by an idle streak.
+	for _, want := range []struct {
+		family string
+		status sim.Status
+		rule   string
+	}{
+		{"round-robin", sim.Gathered, "the idle-streak stall rule"},
+		{"round-robin", sim.Livelock, "the (pattern, round mod period) cycle rule"},
+		{"alternating", sim.Livelock, "the full-activation-only cycle rule"},
+	} {
+		if tally[want.family][want.status] == 0 {
+			t.Errorf("no %s run ended %v: %s went unchecked", want.family, want.status, want.rule)
 		}
 	}
 }
