@@ -102,10 +102,11 @@ var gathererMemos = func() (ms [len(variantNames)]*memoTable) {
 
 // ComputePacked implements PackedAlgorithm: a memoized Compute. The
 // sweep workloads revisit a small set of distinct views, so after warmup
-// the Look-Compute decision is a table hit with no allocation. A
-// Gatherer with a custom Table bypasses the memo: the synthesizer
-// mutates tables between runs, and cached decisions would leak across
-// candidate tables.
+// the Look-Compute decision is a probe of the variant's lock-free table
+// — atomic loads only, no lock and no allocation. A Gatherer with a
+// custom Table bypasses the memo: the synthesizer mutates tables
+// between runs, and cached decisions would leak across candidate
+// tables.
 func (g Gatherer) ComputePacked(pv vision.PackedView) Move {
 	if g.Table != nil || int(g.Variant) >= len(gathererMemos) {
 		return g.Compute(pv.Unpack())

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
-	"unsafe"
+	"sync/atomic"
 
 	"repro/internal/vision"
 )
@@ -25,58 +26,94 @@ type PackedAlgorithm interface {
 // of the view (obliviousness is structural — Compute receives nothing
 // else), so its decisions can be cached indefinitely: the 3652-pattern
 // exhaustive sweep revisits a small set of distinct views thousands of
-// times, and with a warm table every revisit is a lock-cheap hit
+// times, and with a warm table every revisit is a few atomic loads
 // instead of a map-of-coords allocation plus rule evaluation.
 //
-// The table is sharded to keep the read lock uncontended across a
-// worker pool; the read path does not allocate.
+// The table is insert-only and open-addressed over atomic words. Each
+// slot holds a view's Key64 with its move folded into bits the key
+// never uses (moveShift), so a slot is written once, whole, and a zero
+// slot is empty: Key64 is never zero, since every view holds its
+// observer. A hit is an atomic pointer load of the slot array and a
+// linear probe of atomic loads; it writes no shared memory, so readers
+// on every core share the array's cache lines. A miss inserts under mu,
+// doubling the array past ¾ load and swapping the pointer. A reader
+// still on the old array may miss an entry made since and recompute
+// it, which is harmless: decisions are deterministic, and the insert
+// finds the entry already there.
 type memoTable struct {
-	shards [memoShards]memoShard
+	slots atomic.Pointer[[]atomic.Uint64]
+	mu    sync.Mutex // serializes inserts and growth
+	n     int        // entries, guarded by mu
 }
 
-const memoShards = 16
+// moveShift places a move in the slot word: Key64 uses bits 0–36 (the
+// occupancy mask of at most 37 disk nodes) and 58–59 (the range), so
+// bits 40–47 are free for the uint8 move.
+const (
+	moveShift = 40
+	moveBits  = uint64(0xff) << moveShift
+)
 
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[uint64]Move
-	// pad the shard to its own cache line: every hit takes the read
-	// lock, which writes the RWMutex's reader count, and two shards to
-	// a line would make workers probing different shards contend.
-	_ [64 - unsafe.Sizeof(sync.RWMutex{}) - unsafe.Sizeof(map[uint64]Move(nil))]byte
-}
+// memoInitialSlots is the slot count of a fresh table, a power of two;
+// the table doubles as it fills.
+const memoInitialSlots = 64
 
 func newMemoTable() *memoTable {
 	t := &memoTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]Move)
-	}
+	slots := make([]atomic.Uint64, memoInitialSlots)
+	t.slots.Store(&slots)
 	return t
 }
 
+// probe looks key up in slots (a power-of-two count, at most ¾ full):
+// the move and true on a hit, or the index of the empty slot that ends
+// the probe and false. The probe starts at the top bits of a
+// multiplicative hash and walks linearly.
+func probe(slots []atomic.Uint64, key uint64) (Move, int, bool) {
+	mask := len(slots) - 1
+	for i := int((key * 0x9e3779b97f4a7c15) >> (64 - bits.Len(uint(mask)))); ; i = (i + 1) & mask {
+		s := slots[i].Load()
+		if s == 0 {
+			return 0, i, false
+		}
+		if s&^moveBits == key {
+			return Move((s & moveBits) >> moveShift), i, true
+		}
+	}
+}
+
 func (t *memoTable) load(key uint64) (Move, bool) {
-	s := &t.shards[key%memoShards]
-	s.mu.RLock()
-	mv, ok := s.m[key]
-	s.mu.RUnlock()
+	mv, _, ok := probe(*t.slots.Load(), key)
 	return mv, ok
 }
 
 func (t *memoTable) store(key uint64, mv Move) {
-	s := &t.shards[key%memoShards]
-	s.mu.Lock()
-	s.m[key] = mv
-	s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	slots := *t.slots.Load()
+	if _, _, ok := probe(slots, key); ok {
+		return
+	}
+	if 4*(t.n+1) > 3*len(slots) {
+		grown := make([]atomic.Uint64, 2*len(slots))
+		for i := range slots {
+			if s := slots[i].Load(); s != 0 {
+				_, j, _ := probe(grown, s&^moveBits)
+				grown[j].Store(s)
+			}
+		}
+		t.slots.Store(&grown)
+		slots = grown
+	}
+	_, i, _ := probe(slots, key)
+	slots[i].Store(key | uint64(mv)<<moveShift)
+	t.n++
 }
 
 func (t *memoTable) len() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
 }
 
 // compute returns alg's decision for the packed view, consulting the

@@ -3,9 +3,9 @@ package core
 import (
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/config"
+	"repro/internal/enumerate"
 	"repro/internal/grid"
 	"repro/internal/vision"
 )
@@ -33,8 +33,9 @@ func TestMemoizeMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrent hammers one table from many goroutines; run with
-// -race this doubles as the data-race check for the sharded locks.
+// TestMemoConcurrent hammers one warm table from many goroutines; run
+// with -race this doubles as the data-race check for the lock-free
+// read path.
 func TestMemoConcurrent(t *testing.T) {
 	memo := NewMemo()
 	alg := Memoize(Gatherer{}, memo)
@@ -144,10 +145,95 @@ func TestGathererWarmHitAllocs(t *testing.T) {
 	}
 }
 
-// TestMemoShardFillsCacheLine: each shard of a memo table sits on its
-// own 64-byte line, so read locks on different shards do not contend.
-func TestMemoShardFillsCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(memoShard{}); size != 64 {
-		t.Fatalf("memoShard is %d bytes, want 64", size)
+// distinctViews returns every distinct range-2 packed view of the
+// connected n-robot patterns, in first-seen order.
+func distinctViews(n int) []vision.PackedView {
+	seen := map[uint64]bool{}
+	var views []vision.PackedView
+	for _, c := range enumerate.Connected(n) {
+		nodes := c.Nodes()
+		for _, pos := range nodes {
+			pv, _ := vision.LookPackedSorted(nodes, pos, 2)
+			if !seen[pv.Key64()] {
+				seen[pv.Key64()] = true
+				views = append(views, pv)
+			}
+		}
 	}
+	return views
+}
+
+// TestMemoTableGrowsConcurrently fills one fresh table from several
+// goroutines at once, over enough distinct views that it doubles
+// several times while readers probe it: every answer must be the
+// algorithm's own decision, and every view must be stored exactly
+// once.
+func TestMemoTableGrowsConcurrently(t *testing.T) {
+	views := distinctViews(6)
+	if len(views) < 8*memoInitialSlots {
+		t.Fatalf("%d distinct views cannot force three doublings of %d slots", len(views), memoInitialSlots)
+	}
+	want := make([]Move, len(views))
+	for i, pv := range views {
+		want[i] = (Gatherer{}).Compute(pv.Unpack())
+	}
+	memo := NewMemo()
+	alg := Memoize(Gatherer{}, memo)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts a quarter of the way further in, so
+			// inserts, growth and hits interleave across workers.
+			for rep := 0; rep < 2; rep++ {
+				for k := range views {
+					i := (k + w*len(views)/workers) % len(views)
+					if got := alg.ComputePacked(views[i]); got != want[i] {
+						t.Errorf("view %v: %v, want %v", views[i], got, want[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := memo.Len(); got != len(views) {
+		t.Fatalf("Memo.Len = %d, want %d distinct views", got, len(views))
+	}
+}
+
+// TestKey64LeavesMoveBitsFree: a table slot folds the move into bits
+// Key64 never sets, so a view with every disk node occupied, at every
+// packable range, must leave them clear.
+func TestKey64LeavesMoveBitsFree(t *testing.T) {
+	for r := 0; r <= vision.MaxPackedRange; r++ {
+		disk := config.New(grid.Origin.Disk(r)...)
+		pv, ok := vision.Look(disk, grid.Origin, r).Pack()
+		if !ok || pv.Key64() == 0 || pv.Key64()&moveBits != 0 {
+			t.Fatalf("range %d: Key64 %#x overlaps the move bits %#x", r, pv.Key64(), moveBits)
+		}
+	}
+}
+
+// BenchmarkMemoizedHit measures the warm view→move probe that every
+// Look of a memoized run makes, from all GOMAXPROCS goroutines at once
+// over the distinct views of the n = 7 patterns.
+func BenchmarkMemoizedHit(b *testing.B) {
+	views := distinctViews(7)
+	alg := Memoize(Gatherer{}, NewMemo())
+	for _, pv := range views {
+		alg.ComputePacked(pv)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			alg.ComputePacked(views[i])
+			if i++; i == len(views) {
+				i = 0
+			}
+		}
+	})
 }

@@ -28,6 +28,7 @@ package memo
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/grid"
@@ -128,6 +129,10 @@ type Store[V any] struct {
 type shard[V any] struct {
 	mu sync.RWMutex
 	m  map[config.Key128]V
+	// pad the shard to its own cache line: every Load takes the read
+	// lock, which writes the RWMutex's reader count, and two shards to
+	// a line would make workers probing different shards contend.
+	_ [64 - unsafe.Sizeof(sync.RWMutex{}) - unsafe.Sizeof(map[config.Key128]V(nil))]byte
 }
 
 // NewStore builds an empty store.

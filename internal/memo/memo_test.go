@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/grid"
@@ -150,5 +151,16 @@ func TestStoreHammer(t *testing.T) {
 	}
 	if got := int(s.Created()); got != len(distinct) {
 		t.Fatalf("Created = %d, want %d distinct keys", got, len(distinct))
+	}
+}
+
+// TestStoreShardFillsCacheLine: each shard of a Store sits on its own
+// 64-byte line, so read locks on different shards do not contend.
+func TestStoreShardFillsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(shard[Outcome]{}); size != 64 {
+		t.Fatalf("shard is %d bytes, want 64", size)
+	}
+	if size := unsafe.Sizeof(shard[uint64]{}); size != 64 {
+		t.Fatalf("shard is %d bytes, want 64", size)
 	}
 }

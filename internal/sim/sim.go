@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -418,7 +419,7 @@ func run(alg core.Algorithm, initial config.Config, a Activation, opts Options) 
 		cur, next = step.Successor(targets, next[:0]), cur
 		curCfg = config.Config{}
 		if walking || opts.RecordTrace {
-			curCfg = config.New(cur...)
+			curCfg = config.FromSortedNodes(slices.Clone(cur))
 		}
 		if opts.RecordTrace {
 			res.Trace = append(res.Trace, curCfg)
@@ -474,11 +475,12 @@ func activate(k step.Kernel, cur []grid.Coord, active []int, targets []grid.Coor
 	return moved
 }
 
-// configOf returns cfg, or builds the Config of the sorted nodes when
-// cfg is the zero Config (the loop did not keep one).
+// configOf returns cfg, or builds the Config of the sorted,
+// duplicate-free nodes (a copy) when cfg is the zero Config (the loop
+// did not keep one).
 func configOf(cfg config.Config, nodes []grid.Coord) config.Config {
 	if cfg.Len() == 0 {
-		return config.New(nodes...)
+		return config.FromSortedNodes(slices.Clone(nodes))
 	}
 	return cfg
 }

@@ -25,7 +25,8 @@
 //     free (binary searches instead of maps).
 //   - Successor produces the post-move node set, sorted and
 //     deduplicated, into a caller-owned buffer; Connected checks
-//     adjacency-connectivity of a sorted set without allocating.
+//     adjacency-connectivity of a sorted set over per-node neighbour
+//     bitmasks, without allocating.
 //   - Apply composes all of the above for the safety game: decision
 //     vector + activation subset (a Mask over sorted robot indices) →
 //     successor or terminal outcome (collision / disconnection).
@@ -134,7 +135,7 @@ type CollisionInfo struct {
 // Kernel binds one algorithm to the look→compute machinery. Every Look
 // is a vision.PackedView taken from the sorted node slice; algorithms
 // implementing core.PackedAlgorithm decide from it directly (their
-// memo tables make a decision a map probe), any other algorithm from
+// memo tables make a decision a table probe), any other algorithm from
 // its unpacked View. The zero value is not usable; build with New. A
 // Kernel is an immutable value — copy it freely, share it across
 // goroutines.
@@ -294,9 +295,12 @@ func IndexSorted(nodes []grid.Coord, v grid.Coord) int {
 }
 
 // Connected reports whether the sorted node set induces a connected
-// subgraph, using a fixed-size visited mask and index stack so the
-// per-round check allocates nothing. Sets larger than 64 nodes fall
-// back to the map-based check (no current workload comes close).
+// subgraph, without allocating. One pairwise pass builds each node's
+// adjacency bitmask: in Q-then-R order a node's later neighbours lie at
+// dq = 0 (NE) or dq = 1 (E, SE), so each row stops at the first dq > 1.
+// A flood fill over the masks then marks what node 0 reaches. Sets
+// larger than 64 nodes fall back to the map-based check (no current
+// workload comes close).
 func Connected(nodes []grid.Coord) bool {
 	n := len(nodes)
 	if n <= 1 {
@@ -305,25 +309,28 @@ func Connected(nodes []grid.Coord) bool {
 	if n > 64 {
 		return config.New(nodes...).Connected()
 	}
-	var visited uint64 = 1
-	var stack [64]int8
-	stack[0] = 0
-	sp := 1
-	count := 1
-	for sp > 0 {
-		sp--
-		v := nodes[stack[sp]]
-		for _, d := range grid.Directions {
-			j := IndexSorted(nodes, v.Step(d))
-			if j >= 0 && visited&(1<<uint(j)) == 0 {
-				visited |= 1 << uint(j)
-				count++
-				stack[sp] = int8(j)
-				sp++
+	var adj [64]uint64
+	for i, a := range nodes {
+		for j := i + 1; j < n; j++ {
+			dq, dr := nodes[j].Q-a.Q, nodes[j].R-a.R
+			if dq > 1 {
+				break
+			}
+			if dq == 0 && dr == 1 || dq == 1 && (dr == 0 || dr == -1) {
+				adj[i] |= 1 << uint(j)
+				adj[j] |= 1 << uint(i)
 			}
 		}
 	}
-	return count == n
+	reached, frontier := uint64(1), uint64(1)
+	for frontier != 0 {
+		i := bits.TrailingZeros64(frontier)
+		frontier &= frontier - 1
+		fresh := adj[i] &^ reached
+		reached |= fresh
+		frontier |= fresh
+	}
+	return reached == uint64(1)<<uint(n)-1
 }
 
 // insertionSortCoords sorts a small coord slice in place by Q then R —

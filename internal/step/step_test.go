@@ -1,6 +1,7 @@
 package step_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -191,25 +192,59 @@ func TestSuccessorSortsAndDedups(t *testing.T) {
 	}
 }
 
-// TestConnectedMatchesConfig checks the allocation-free connectivity
-// against the map-based reference over enumerated patterns and their
-// deliberately split variants.
+// TestConnectedMatchesConfig checks the bitmask connectivity against
+// the map-based reference on every connected pattern of n ≤ 7 robots
+// and on every variant one robot away from it: each robot displaced one
+// step in each of the six directions (onto an occupied node the two
+// merge), and each robot deleted. Those variants are the near splits,
+// the cases an adjacency rule gets wrong first.
 func TestConnectedMatchesConfig(t *testing.T) {
-	for i, c := range enumerate.Connected(7) {
-		if i%100 != 0 {
-			continue
+	check := func(nodes []grid.Coord, what string) {
+		t.Helper()
+		c := config.New(nodes...)
+		if got, want := step.Connected(c.Nodes()), c.Connected(); got != want {
+			t.Fatalf("%s %s: Connected = %v, reference %v", what, c.Key(), got, want)
 		}
-		nodes := c.Nodes()
-		if !step.Connected(nodes) {
-			t.Fatalf("connected pattern %s reported disconnected", c.Key())
+	}
+	variant := make([]grid.Coord, 0, 7)
+	for n := 1; n <= 7; n++ {
+		for _, c := range enumerate.Connected(n) {
+			nodes := c.Nodes()
+			if !step.Connected(nodes) {
+				t.Fatalf("connected pattern %s reported disconnected", c.Key())
+			}
+			for i := range nodes {
+				for _, d := range grid.Directions {
+					variant = append(variant[:0], nodes...)
+					variant[i] = variant[i].Step(d)
+					check(variant, "displaced")
+				}
+				variant = append(append(variant[:0], nodes[:i]...), nodes[i+1:]...)
+				check(variant, "deleted")
+			}
 		}
-		// Teleport the last node far away: definitely split.
-		split := append([]grid.Coord(nil), nodes...)
-		split[len(split)-1] = grid.Coord{Q: 40, R: 40}
-		splitCfg := config.New(split...)
-		if step.Connected(splitCfg.Nodes()) != splitCfg.Connected() {
-			t.Fatalf("split variant of %s diverges from reference", c.Key())
+	}
+}
+
+// BenchmarkConnected measures the connectivity check each executed
+// round makes, over every connected pattern of n = 7 and every 32nd of
+// n = 10 (a round's successor is one of these unless the round split
+// it). The node slices are copied out before the timer starts.
+func BenchmarkConnected(b *testing.B) {
+	for _, tc := range []struct{ n, every int }{{7, 1}, {10, 32}} {
+		var sets [][]grid.Coord
+		for i, c := range enumerate.Connected(tc.n) {
+			if i%tc.every == 0 {
+				sets = append(sets, c.Nodes())
+			}
 		}
+		b.Run(fmt.Sprintf("n=%d", tc.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !step.Connected(sets[i%len(sets)]) {
+					b.Fatal("connected pattern reported disconnected")
+				}
+			}
+		})
 	}
 }
 
