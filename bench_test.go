@@ -254,9 +254,9 @@ func BenchmarkE8_SSYNCSweep(b *testing.B) {
 
 // BenchmarkE11_N8Sweep maps the paper's first open problem (§V,
 // "different numbers of robots") empirically: the seven-robot algorithm
-// on every connected 8-robot pattern — all 16689 of them, enumerated
-// and cycle-checked on exact two-tier keys (config.Key128 past the
-// 64-bit envelope) — under FSYNC, against the generalized
+// on every connected 8-robot pattern — all 16689 of them, enumerated,
+// cycle-checked and memoized on exact config.Key128 keys — under
+// FSYNC, against the generalized
 // minimum-diameter gathering goal (config.GoalFor(8): diameter 3).
 // The gathered/stalled/livelock/collision breakdown is the result: the
 // first quantitative map of how far the n = 7 construction carries.

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		n       = flag.Int("n", 0, "robot count of the space to index (1..14)")
+		n       = flag.Int("n", 0, fmt.Sprintf("robot count of the space to index (1..%d)", enumerate.MaxKeyN))
 		out     = flag.String("o", "", "output path (build mode; required with -n)")
 		workers = flag.Int("workers", 0, "enumeration workers (0 = all CPUs)")
 		verify  = flag.String("verify", "", "load and fully verify an existing index instead of building")

@@ -76,12 +76,11 @@ func TestThreeGathererPackedMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestCompactDedupMatchesStringDedup checks that the two-tier
-// compact-key enumeration produces exactly the same pattern set as
-// string-key dedup for every size through n=8: sizes 1..7 exercise the
-// Key64 tier (the paper's 3652 patterns, byte-identical under the
-// two-tier path), and n=8 — past the 64-bit envelope — exercises the
-// Key128 tier over the full 16689-pattern E11 space.
+// TestCompactDedupMatchesStringDedup checks that the key-native
+// enumeration, which dedups on exact config.Key128 keys, produces
+// exactly the same pattern list as the oracle's string-key dedup for
+// every size through n=8: the paper's 3652 patterns at n=7, and the
+// full 16689-pattern E11 space at n=8 (skipped under -short).
 func TestCompactDedupMatchesStringDedup(t *testing.T) {
 	top := 8
 	if testing.Short() {

@@ -48,10 +48,10 @@
 // state is a connected pattern of exactly n distinct nodes — for n = 7
 // the entire game graph has at most 3652 vertices, for n = 8 at most
 // 16689. States are keyed by the compact translation-invariant
-// config.Key128 (exact through n = 14; a string fallback keeps larger
-// or wider states correct), and the solver memoizes verdicts across
-// patterns: deciding a whole space shares one table, so most root
-// solves are lookups into a game graph already colored.
+// config.Key128, exact for every state of the game (stateKey), and the
+// solver memoizes verdicts across patterns: deciding a whole space
+// shares one table, so most root solves are lookups into a game graph
+// already colored.
 //
 // The game dynamics themselves — look→compute→move, the collision
 // rules, the disconnection check — are the shared transition kernel
@@ -97,10 +97,10 @@ import (
 )
 
 // MaxRobots is the largest robot count the solver accepts — the
-// config.Key128 exact-key envelope. Past it the state key degrades to
-// strings and, more importantly, the 2^n branching stops being a game
-// anyone should solve exhaustively.
-const MaxRobots = 14
+// config.Key128 exact-key envelope, inside which every game state has
+// an exact key (stateKey). Past it the 2^n branching would stop being
+// a game anyone should solve exhaustively anyway.
+const MaxRobots = config.MaxKeyNodes
 
 // color is the search state of one game vertex.
 type color uint8
@@ -223,7 +223,7 @@ func (s *Solver) Defeatable(initial config.Config) (bool, error) {
 // decide returns the final color of a state: the published verdict if
 // one exists, otherwise a fresh solve through the given search.
 func (s *Solver) decide(nodes []grid.Coord, g *search) color {
-	key := memo.KeyOf(nodes)
+	key := stateKey(nodes)
 	if v, ok := s.memo.Load(key); ok {
 		return v.color
 	}
@@ -236,11 +236,20 @@ func (s *Solver) decide(nodes []grid.Coord, g *search) color {
 // a forceable cycle only against the searcher's own path.
 type search struct {
 	s      *Solver
-	onPath map[memo.Key]struct{}
+	onPath map[config.Key128]struct{}
 }
 
 func newSearch(s *Solver) *search {
-	return &search{s: s, onPath: make(map[memo.Key]struct{})}
+	return &search{s: s, onPath: make(map[config.Key128]struct{})}
+}
+
+// stateKey is the store key of a game state. Every state is a
+// connected pattern (disconnection is terminal, and Defeatable refuses
+// a disconnected start) of at most MaxRobots robots, so its spread is
+// below 15 and its Key128 is exact by construction.
+func stateKey(nodes []grid.Coord) config.Key128 {
+	k, _ := config.Key128Nodes(nodes)
+	return k
 }
 
 // expand computes the per-robot decisions of a state through the
@@ -256,7 +265,7 @@ func (s *Solver) expand(nodes []grid.Coord, moves []core.Move) uint16 {
 // exhausted), publishing nothing, so a later larger-budget solve can
 // retry. Recursion depth is bounded by the number of states (16689 for
 // the full n = 8 game), well within Go's growable stacks.
-func (g *search) solve(nodes []grid.Coord, key memo.Key) color {
+func (g *search) solve(nodes []grid.Coord, key config.Key128) color {
 	s := g.s
 	if int(s.memo.Created())+len(g.onPath) > s.maxStates {
 		return aborted
@@ -289,7 +298,7 @@ func (g *search) solve(nodes []grid.Coord, key memo.Key) color {
 			s.memo.Publish(key, verdict{color: defeated, choice: sub})
 			return defeated
 		}
-		ckey := memo.KeyOf(next)
+		ckey := stateKey(next)
 		var cc color
 		if v, ok := s.memo.Load(ckey); ok {
 			cc = v.color

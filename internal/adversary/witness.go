@@ -6,7 +6,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/memo"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/step"
@@ -176,11 +175,10 @@ func (w *Witness) Verify(alg core.Algorithm, goal func(config.Config) bool) (sim
 func (s *Solver) witness(initial config.Config) (*Witness, error) {
 	w := &Witness{Initial: initial}
 	nodes := initial.Nodes()
-	seen := map[string]int{}
+	seen := map[config.Key128]int{}
 	var schedule [][]int
 	for {
-		cfg := config.New(nodes...)
-		key := cfg.Key()
+		key := stateKey(nodes)
 		if at, ok := seen[key]; ok {
 			w.Prefix = schedule[:at]
 			w.Cycle = schedule[at:]
@@ -188,26 +186,25 @@ func (s *Solver) witness(initial config.Config) (*Witness, error) {
 			return w, nil
 		}
 		seen[key] = len(schedule)
-		skey := memo.KeyOf(nodes)
-		v, ok := s.memo.Load(skey)
+		v, ok := s.memo.Load(key)
 		if !ok {
 			// In-flight elsewhere: decide it here (see above).
 			if c := s.decide(nodes, newSearch(s)); c != defeated {
-				return nil, fmt.Errorf("adversary: internal: witness walk reached %v state %s", c, key)
+				return nil, fmt.Errorf("adversary: internal: witness walk reached %v state %s", c, patternKey(nodes))
 			}
-			if v, ok = s.memo.Load(skey); !ok {
-				return nil, fmt.Errorf("adversary: internal: witness walk solved unpublished state %s", key)
+			if v, ok = s.memo.Load(key); !ok {
+				return nil, fmt.Errorf("adversary: internal: witness walk solved unpublished state %s", patternKey(nodes))
 			}
 		}
 		if v.color != defeated {
-			return nil, fmt.Errorf("adversary: internal: witness walk reached %v state %s", v.color, key)
+			return nil, fmt.Errorf("adversary: internal: witness walk reached %v state %s", v.color, patternKey(nodes))
 		}
 		n := len(nodes)
 		var moves [MaxRobots]core.Move
 		movers := step.Mask(s.expand(nodes, moves[:n]))
 		if movers == 0 {
-			if s.goal(cfg) {
-				return nil, fmt.Errorf("adversary: internal: witness walk reached gathered %s", key)
+			if s.goal(config.New(nodes...)) {
+				return nil, fmt.Errorf("adversary: internal: witness walk reached gathered %s", patternKey(nodes))
 			}
 			w.Prefix = schedule
 			w.Kind = KindStall
@@ -215,7 +212,7 @@ func (s *Solver) witness(initial config.Config) (*Witness, error) {
 		}
 		sub := v.choice
 		if sub&movers != sub || sub == 0 {
-			return nil, fmt.Errorf("adversary: internal: stored choice %#x is not a mover subset at %s", sub, key)
+			return nil, fmt.Errorf("adversary: internal: stored choice %#x is not a mover subset at %s", sub, patternKey(nodes))
 		}
 		schedule = append(schedule, sub.Indices())
 		next, outcome := step.Apply(nodes, moves[:n], sub, make([]grid.Coord, 0, n))
@@ -232,3 +229,6 @@ func (s *Solver) witness(initial config.Config) (*Witness, error) {
 		nodes = next
 	}
 }
+
+// patternKey renders a state's canonical string key for error messages.
+func patternKey(nodes []grid.Coord) string { return config.New(nodes...).Key() }

@@ -17,12 +17,6 @@ import (
 // malformed keys (field out of range, nodes out of order) are rejected
 // rather than decoded into a different pattern.
 
-// MaxKeyNodes is the largest node count the exact Key128 encoding
-// covers. Every connected pattern through this size is exactly
-// encodable (spread at most n − 1 ≤ 13 < 15), which is what lets the
-// enumeration engine run key-native through n = 14.
-const MaxKeyNodes = 14
-
 // FromKey64 decodes an exact Key64 value back into its normalized
 // configuration: FromKey64(Key64Nodes(c.nodes)) round-trips to
 // c.Normalize() for every exactly-encodable pattern. Values outside the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/grid"
 	"repro/internal/serve"
 )
 
@@ -52,6 +53,45 @@ func FuzzParseKey(f *testing.F) {
 		}
 		if !again.SamePattern(c) || again.Key() != c.Key() {
 			t.Fatalf("ParseKey(%q): Key %q re-parses to pattern %q", s, c.Key(), again.Key())
+		}
+	})
+}
+
+// FuzzFromKey128: the key decoder reads peer bytes (pattern-index
+// artifacts, verdict-table entries), so for any two words it must
+// either return an error or return a pattern whose Key128 is exactly
+// the input — never panic. Seeds are the keys of lines in three
+// directions and the hexagon for n ≤ 8, a widest-spread pair, and a
+// few values outside the encoder's image.
+func FuzzFromKey128(f *testing.F) {
+	patterns := []config.Config{
+		config.Hexagon(grid.Origin),
+		config.New(grid.Origin, grid.Coord{Q: 15, R: -15}),
+	}
+	for n := 1; n <= 8; n++ {
+		for _, d := range []grid.Direction{grid.E, grid.NE, grid.SE} {
+			patterns = append(patterns, config.Line(grid.Origin, d, n))
+		}
+	}
+	for _, c := range patterns {
+		k, ok := config.Key128Nodes(c.Nodes())
+		if !ok {
+			f.Fatalf("seed %s has no exact key", c.Key())
+		}
+		f.Add(k.Hi, k.Lo)
+	}
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(1)<<60, uint64(0))
+	f.Add(^uint64(0), ^uint64(0))
+	f.Add(uint64(0), uint64(3)<<18|1<<14|15<<9|1<<5|14)
+	f.Fuzz(func(t *testing.T, hi, lo uint64) {
+		key := config.Key128{Hi: hi, Lo: lo}
+		c, err := config.FromKey128(key)
+		if err != nil {
+			return
+		}
+		if again, ok := c.Key128(); !ok || again != key {
+			t.Fatalf("FromKey128(%#x:%#x) = %s, whose Key128 is %#x:%#x (exact %v)", hi, lo, c.Key(), again.Hi, again.Lo, ok)
 		}
 	})
 }

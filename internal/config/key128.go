@@ -2,15 +2,26 @@ package config
 
 import "repro/internal/grid"
 
-// This file extends the compact pattern keys past the 64-bit envelope.
-// Key64 covers every pattern of the paper's own workloads (n ≤ 7); the
-// n ≥ 8 extension sweeps (§V open problem 1, experiment E11) need exact
-// keys for wider patterns, and Key128 provides them: the same
-// anchor-relative fixed-width encoding as Key64, accumulated across two
-// words. Together the two keys form a two-tier scheme — Key64 first,
-// Key128 for patterns past it, strings only for patterns past both —
-// used by PatternSet and the relaxed enumeration's pattern map. (The
-// connected enumeration keys every size with Key128 alone.)
+// This file holds the exact state key. Key128 is Key64's
+// anchor-relative fixed-width encoding accumulated across two words,
+// which covers every connected pattern through MaxKeyNodes robots —
+// the paper's n = 7 space and every n ≥ 8 extension sweep (§V open
+// problem 1) alike. It is the one key of every store that caches
+// facts about states (internal/memo's outcome and solver stores), of
+// the connected enumeration, and of the verdict table; WithPhase
+// folds a periodic scheduler's phase into it. States with no exact
+// key (more than MaxKeyNodes robots, or a spread past 15, which only
+// relaxed starts reach) are not memoized; PatternSet alone still
+// dedups them, by string.
+
+// MaxKeyNodes is the largest node count the exact Key128 encoding
+// covers: n = MaxKeyNodes uses 4 + 9·(n−1) = 121 bits, and one more
+// node would need 130. Every connected pattern through this size is
+// exactly encodable (spread at most n − 1 ≤ 13 < 15), which is what
+// lets the enumeration engine run key-native through it. It is the one
+// statement of the envelope: the enumeration, adversary and serving
+// bounds derive from it.
+const MaxKeyNodes = 14
 
 // Key128 is a two-word compact pattern key. It is a comparable value
 // type, so it keys Go maps directly.
@@ -37,10 +48,9 @@ func (k Key128) Compare(o Key128) int {
 // Key128 returns a compact translation-invariant key for the pattern,
 // equivalent to Key(): two configurations have equal exact keys iff
 // they are the same pattern. exact is false when the pattern does not
-// fit the 128-bit encoding (more than 14 nodes, or a node more than 15
-// away from the anchor in Q or R); callers must then fall back to
-// Key(). Every pattern exact under Key64 is also exact here, with the
-// Key64 value in Lo and a zero Hi.
+// fit the 128-bit encoding (more than MaxKeyNodes nodes, or a node more
+// than 15 away from the anchor in Q or R). Every pattern exact under
+// Key64 is also exact here, with the Key64 value in Lo and a zero Hi.
 func (c Config) Key128() (key Key128, exact bool) { return Key128Nodes(c.nodes) }
 
 // Key128Nodes is Key128 over a raw node list, for hot paths that
@@ -54,19 +64,18 @@ func (c Config) Key128() (key Key128, exact bool) { return Key128Nodes(c.nodes) 
 //	key = n; for each of nodes[1:]: key = key<<9 | dq<<5 | (dr+15)
 //
 // with dq ∈ [0,15] (4 bits) and dr ∈ [-15,15] (5 bits). The widest
-// case, n = 14, uses 4 + 13·9 = 121 bits; n = 15 would need 130, so 14
-// is the envelope. Fixed-width fields make the encoding injective for
-// a given n, and the leading n occupies disjoint value ranges for
-// different n ≤ 14, so the key is injective over every
-// exactly-encodable pattern. Connected patterns have spread at most
-// n − 1 ≤ 13 < 15, so every connected pattern through n = 14 — the
-// full n = 8 space of E11 included — is exact.
+// case, n = MaxKeyNodes, uses 121 bits. Fixed-width fields make the
+// encoding injective for a given n, and the leading n occupies disjoint
+// value ranges for different n ≤ MaxKeyNodes, so the key is injective
+// over every exactly-encodable pattern. Connected patterns have spread
+// at most n − 1 < 15, so every connected pattern through MaxKeyNodes
+// nodes is exact.
 func Key128Nodes(nodes []grid.Coord) (key Key128, exact bool) {
 	n := len(nodes)
 	if n == 0 {
 		return Key128{}, true
 	}
-	if n > 14 {
+	if n > MaxKeyNodes {
 		return Key128{}, false
 	}
 	a := nodes[0]
@@ -81,4 +90,30 @@ func Key128Nodes(nodes []grid.Coord) (key Key128, exact bool) {
 		key.Lo = key.Lo<<9 | uint64(dq)<<5 | uint64(dr+15)
 	}
 	return key, true
+}
+
+// phaseBits is the width of the phase field WithPhase folds into a
+// key, and phaseShift its position: an exact key uses at most 121 bits
+// (see MaxKeyNodes), so the top 7 bits of Hi are zero for every
+// pattern and a phase folded into them cannot collide with another
+// pattern's key.
+const (
+	phaseBits  = 7
+	phaseShift = 64 - phaseBits
+)
+
+// WithPhase scopes an exact key by an execution phase — the round
+// number modulo a deterministic scheduler's period, for clients whose
+// execution state is (pattern, phase) rather than the bare pattern:
+// the run loop's outcome memo and cycle set under a periodic
+// scheduler. Phase 0 returns the key unchanged, so phase-less clients
+// and phase-0 states share entries. ok is false for a phase outside
+// [0, 2⁷−1]: that state has no exact key (no real scheduler period
+// comes close).
+func (k Key128) WithPhase(phase int) (key Key128, ok bool) {
+	if phase < 0 || phase >= 1<<phaseBits {
+		return Key128{}, false
+	}
+	k.Hi |= uint64(phase) << phaseShift
+	return k, true
 }

@@ -45,9 +45,9 @@ func TestKey128TranslationInvariant(t *testing.T) {
 	}
 }
 
-// TestKey128ExtendsKey64 pins the tier relationship: every Key64-exact
-// pattern is Key128-exact with the identical value in the low word —
-// the two-tier maps could in principle share one keyspace.
+// TestKey128ExtendsKey64 pins the encodings' relationship: every
+// Key64-exact pattern is Key128-exact with the identical value in the
+// low word.
 func TestKey128ExtendsKey64(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
@@ -124,5 +124,94 @@ func TestPatternSetThreeTiers(t *testing.T) {
 	}
 	if s.Len() != 3 {
 		t.Fatalf("PatternSet length %d after reuse, want 3", s.Len())
+	}
+}
+
+// TestWithPhase: phase 0 keeps the key, every phase of the 7-bit field
+// gives a distinct exact key with the pattern bits intact, and phases
+// outside it report no exact key.
+func TestWithPhase(t *testing.T) {
+	base, _ := New(grid.Origin, grid.Coord{Q: 1, R: 0}).Key128()
+	if got, ok := base.WithPhase(0); !ok || got != base {
+		t.Fatalf("WithPhase(0) = %v,%v; want the key unchanged", got, ok)
+	}
+	seen := map[Key128]int{base: 0}
+	for ph := 1; ph < 1<<phaseBits; ph++ {
+		k, ok := base.WithPhase(ph)
+		if !ok {
+			t.Fatalf("WithPhase(%d) reported no exact key", ph)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("WithPhase(%d) collides with phase %d", ph, prev)
+		}
+		seen[k] = ph
+		if k.Lo != base.Lo {
+			t.Fatalf("WithPhase(%d) altered Lo", ph)
+		}
+	}
+	for _, ph := range []int{-1, 1 << phaseBits} {
+		if _, ok := base.WithPhase(ph); ok {
+			t.Fatalf("WithPhase(%d) claimed an exact key", ph)
+		}
+	}
+}
+
+// TestWithPhaseDisjointAcrossPatterns checks the structural claim the
+// folding relies on: no phase of one pattern's key equals any phase of
+// another's, because exact keys leave the phase bits zero — the widest
+// MaxKeyNodes-node keys included.
+func TestWithPhaseDisjointAcrossPatterns(t *testing.T) {
+	var keys []Key128
+	for _, c := range []Config{
+		New(grid.Origin, grid.Coord{Q: 1, R: 0}),
+		New(grid.Origin, grid.Coord{Q: 1, R: 1}),
+		Line(grid.Origin, grid.E, MaxKeyNodes),
+		Line(grid.Origin, grid.SE, MaxKeyNodes),
+	} {
+		k, ok := c.Key128()
+		if !ok {
+			t.Fatalf("%s has no exact key", c.Key())
+		}
+		if k.Hi>>phaseShift != 0 {
+			t.Fatalf("%s uses the phase bits: %#x", c.Key(), k.Hi)
+		}
+		keys = append(keys, k)
+	}
+	for i, a := range keys {
+		for _, b := range keys[i+1:] {
+			for pa := 0; pa <= 8; pa++ {
+				for pb := 0; pb <= 8; pb++ {
+					ka, _ := a.WithPhase(pa)
+					kb, _ := b.WithPhase(pb)
+					if ka == kb {
+						t.Fatalf("phase fold collides: %v phase %d == %v phase %d", a, pa, b, pb)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPatternSetPhases: phased states are distinct from each other and
+// from the bare pattern in every tier, past WithPhase's range included.
+func TestPatternSetPhases(t *testing.T) {
+	for _, c := range []Config{
+		Hexagon(grid.Origin),
+		Line(grid.Origin, grid.E, 9),
+		Line(grid.Origin, grid.E, 20),
+	} {
+		var s PatternSet
+		phases := []int{0, 1, 2, 1<<phaseBits - 1, 1 << phaseBits, 1<<phaseBits + 1}
+		for _, ph := range phases {
+			if !s.AddPhase(c.Nodes(), ph) {
+				t.Fatalf("%d nodes, phase %d: reported as duplicate on first add", c.Len(), ph)
+			}
+			if s.AddPhase(c.Translate(grid.Coord{Q: 3, R: -2}).Nodes(), ph) {
+				t.Fatalf("%d nodes, phase %d: translate not recognized as duplicate", c.Len(), ph)
+			}
+		}
+		if s.Len() != len(phases) {
+			t.Fatalf("%d nodes: %d states, want %d", c.Len(), s.Len(), len(phases))
+		}
 	}
 }

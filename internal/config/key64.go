@@ -6,20 +6,21 @@ import (
 	"repro/internal/grid"
 )
 
-// This file implements the compact pattern keys of the packed engine.
-// Config.Key builds a string per call, which made enumeration dedup and
-// cycle detection allocation-bound; Key64 packs the same
-// translation-invariant information into one integer for every pattern
-// the paper's workloads produce (n ≤ 7 with bounded spread); key128.go
-// widens the envelope to two words for the n ≥ 8 extension sweeps, and
-// PatternSet falls back to string keys for the rare pattern outside
-// both, so compact keying never changes semantics.
+// This file implements the one-word pattern key. Config.Key builds a
+// string per call, which made enumeration dedup and cycle detection
+// allocation-bound; Key64 packs the same translation-invariant
+// information into one integer for every pattern of at most 7 nodes
+// with bounded spread — the paper's own workloads. Key128 (key128.go)
+// is the same encoding on two words and the exact state key everywhere
+// else; Key64 survives as PatternSet's fast tier, because a uint64 map
+// insert is measurably cheaper than a Key128 one on the relaxed
+// enumeration's millions of patterns.
 
 // Key64 returns a compact translation-invariant key for the pattern,
 // equivalent to Key(): two configurations have equal exact keys iff they
 // are the same pattern. exact is false when the pattern does not fit the
 // 64-bit encoding (more than 7 nodes, or a node more than 15 away from
-// the anchor in Q or R); callers must then fall back to Key().
+// the anchor in Q or R); callers must then use Key128 or Key().
 func (c Config) Key64() (key uint64, exact bool) { return Key64Nodes(c.nodes) }
 
 // Key64Nodes is Key64 over a raw node list, for hot paths that maintain
@@ -57,14 +58,15 @@ func Key64Nodes(nodes []grid.Coord) (key uint64, exact bool) {
 	return key, true
 }
 
-// PatternSet is a set of patterns (configurations up to translation)
-// keyed by the two-tier compact scheme: Key64 for patterns inside the
-// 64-bit envelope, Key128 for patterns inside the 128-bit one, and a
-// string-keyed overflow for the rest. A pattern's tier is a property of
-// the pattern itself (every Key64-exact pattern is checked first), so a
-// pattern always lands in the same map and membership is always exact —
-// there are no hash collisions to check. The zero value is ready to
-// use. It is not safe for concurrent use.
+// PatternSet is a set of patterns (configurations up to translation),
+// or of (pattern, phase) states. The phase-0 state of a Key64-exact
+// pattern is keyed by its Key64, any other state with an exact phased
+// Key128 (see WithPhase) by that, and the rest (more than MaxKeyNodes
+// nodes, a spread past 15, or a phase past WithPhase's range) by
+// string. Which map a state lands in is a property of the state
+// itself, so membership is always exact — there are no hash
+// collisions to check. The zero value is ready to use. It is not safe
+// for concurrent use.
 type PatternSet struct {
 	exact map[uint64]struct{}
 	wide  map[Key128]struct{}
@@ -80,56 +82,38 @@ func (s *PatternSet) Add(c Config) bool { return s.AddNodes(c.nodes) }
 // retained.
 func (s *PatternSet) AddNodes(nodes []grid.Coord) bool { return s.AddPhase(nodes, 0) }
 
-// phaseShift places AddPhase's phase in the top phaseBits bits of the
-// compact keys, which are structurally zero: Key64 uses at most
-// 3 + 6·9 = 57 bits and Key128's Hi word at most 121 − 64 = 57.
-const (
-	phaseBits  = 7
-	phaseShift = 64 - phaseBits
-)
-
 // AddPhase inserts the pair (pattern of nodes, phase) and reports
 // whether it was absent: one set holds the execution states (pattern,
 // round mod period) of a periodic scheduler. Phase 0 is the bare
-// pattern, so AddNodes and AddPhase(nodes, 0) share entries. The phase
-// folds into the compact keys' zero top bits; past 2⁷−1 (no real
-// period comes close) it prefixes the string key instead.
+// pattern, so AddNodes and AddPhase(nodes, 0) share entries.
 func (s *PatternSet) AddPhase(nodes []grid.Coord, phase int) bool {
-	if phase < 1<<phaseBits {
+	if phase == 0 {
 		if k, ok := Key64Nodes(nodes); ok {
-			k |= uint64(phase) << phaseShift
-			if _, dup := s.exact[k]; dup {
-				return false
-			}
-			if s.exact == nil {
-				s.exact = make(map[uint64]struct{})
-			}
-			s.exact[k] = struct{}{}
-			return true
-		}
-		if k, ok := Key128Nodes(nodes); ok {
-			k.Hi |= uint64(phase) << phaseShift
-			if _, dup := s.wide[k]; dup {
-				return false
-			}
-			if s.wide == nil {
-				s.wide = make(map[Key128]struct{})
-			}
-			s.wide[k] = struct{}{}
-			return true
+			return addKey(&s.exact, k)
 		}
 	}
-	k := New(nodes...).Key()
+	if k, ok := Key128Nodes(nodes); ok {
+		if k, ok := k.WithPhase(phase); ok {
+			return addKey(&s.wide, k)
+		}
+	}
+	sk := New(nodes...).Key()
 	if phase != 0 {
-		k = strconv.Itoa(phase) + "@" + k
+		sk = strconv.Itoa(phase) + "@" + sk
 	}
-	if _, dup := s.slow[k]; dup {
+	return addKey(&s.slow, sk)
+}
+
+// addKey inserts k into the set *m, making the map on first use, and
+// reports whether k was absent.
+func addKey[K comparable](m *map[K]struct{}, k K) bool {
+	if _, dup := (*m)[k]; dup {
 		return false
 	}
-	if s.slow == nil {
-		s.slow = make(map[string]struct{})
+	if *m == nil {
+		*m = make(map[K]struct{})
 	}
-	s.slow[k] = struct{}{}
+	(*m)[k] = struct{}{}
 	return true
 }
 

@@ -19,14 +19,13 @@
 // it. The canonical output order is ascending key order ("key/v1"),
 // which coincides with the config.Compare order. Every entry point
 // refuses sizes past MaxKeyN. The relaxed-connectivity spaces
-// (relaxed.go) grow on a materializing pattern map instead; the
-// differential reference for both is the string-keyed enumeration in
-// the test-only internal/oracle package.
+// (relaxed.go), whose patterns may lie past the exact key, grow one
+// materialized generation at a time instead, deduplicated by a
+// config.PatternSet; the differential reference for both is the
+// string-keyed enumeration in the test-only internal/oracle package.
 package enumerate
 
 import (
-	"sort"
-
 	"repro/internal/config"
 	"repro/internal/grid"
 )
@@ -76,85 +75,10 @@ func Count(n int) int {
 	return len(keys)
 }
 
-// patternMap is one materialized generation of the relaxed growth
-// loop: normalized configurations deduplicated by pattern, keyed by
-// the two-tier compact scheme (config.Key64Nodes, then
-// config.Key128Nodes past the 64-bit envelope) with a string-keyed
-// overflow for patterns outside both exact encodings. Exactness of each
-// tier is a property of the pattern itself, so a pattern always lands
-// in the same map.
-type patternMap struct {
-	exact map[uint64]config.Config
-	wide  map[config.Key128]config.Config
-	slow  map[string]config.Config
-}
-
-func newPatternMap(capHint int) *patternMap {
-	return &patternMap{exact: make(map[uint64]config.Config, capHint)}
-}
-
-// seedPatterns is the single-node starting point of the relaxed growth loop.
-func seedPatterns() *patternMap {
-	m := newPatternMap(1)
-	one := config.New(grid.Origin)
-	k, _ := one.Key64()
-	m.exact[k] = one
-	return m
-}
-
-func (m *patternMap) len() int { return len(m.exact) + len(m.wide) + len(m.slow) }
-
-func (m *patternMap) each(f func(config.Config)) {
-	for _, c := range m.exact {
-		f(c)
-	}
-	for _, c := range m.wide {
-		f(c)
-	}
-	for _, c := range m.slow {
-		f(c)
-	}
-}
-
-// sorted returns the patterns ordered by config.Compare.
-func (m *patternMap) sorted() []config.Config {
-	out := make([]config.Config, 0, m.len())
-	m.each(func(c config.Config) { out = append(out, c) })
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
 // growScratch holds the per-goroutine buffers of the growth step.
 type growScratch struct {
 	base   []grid.Coord // parent pattern's nodes
 	merged []grid.Coord // parent nodes with the candidate inserted, sorted
-}
-
-// addMerged records the pattern of a sorted candidate node list if new.
-func (m *patternMap) addMerged(merged []grid.Coord) {
-	if k, ok := config.Key64Nodes(merged); ok {
-		if _, dup := m.exact[k]; !dup {
-			m.exact[k] = config.New(merged...).Normalize()
-		}
-		return
-	}
-	if k, ok := config.Key128Nodes(merged); ok {
-		if _, dup := m.wide[k]; !dup {
-			if m.wide == nil {
-				m.wide = make(map[config.Key128]config.Config)
-			}
-			m.wide[k] = config.New(merged...).Normalize()
-		}
-		return
-	}
-	ext := config.New(merged...).Normalize()
-	sk := ext.Key()
-	if _, dup := m.slow[sk]; !dup {
-		if m.slow == nil {
-			m.slow = make(map[string]config.Config)
-		}
-		m.slow[sk] = ext
-	}
 }
 
 // containsCoord reports membership in a small node list (linear scan —

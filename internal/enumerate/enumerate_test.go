@@ -173,8 +173,8 @@ func TestSmallEnumerationsExplicit(t *testing.T) {
 
 // TestEightCountAndExactKeys is the enumeration side of experiment E11:
 // the n = 8 space has 16689 patterns (fixed octahexes), every one of
-// them keyed exactly — Key128 at least, never the string fallback — and
-// with all 16689 Key128 values distinct.
+// them exactly Key128-encodable, and with all 16689 Key128 values
+// distinct.
 func TestEightCountAndExactKeys(t *testing.T) {
 	all := Connected(8)
 	if len(all) != KnownCounts[8] {

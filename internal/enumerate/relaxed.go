@@ -1,6 +1,8 @@
 package enumerate
 
 import (
+	"slices"
+
 	"repro/internal/config"
 	"repro/internal/grid"
 )
@@ -18,14 +20,18 @@ func ConnectedWithin(n, visRange int) []config.Config {
 	if n == 0 {
 		return nil
 	}
-	current := seedPatterns()
+	current := []config.Config{config.New(grid.Origin)}
 	var scr growScratch
 	for size := 1; size < n; size++ {
-		next := newPatternMap(current.len() * 6)
-		current.each(func(c config.Config) { growWithinInto(c, visRange, next, &scr) })
+		var seen config.PatternSet
+		next := make([]config.Config, 0, len(current)*6)
+		for _, c := range current {
+			next = growWithinInto(c, visRange, &seen, next, &scr)
+		}
 		current = next
 	}
-	return current.sorted()
+	slices.SortFunc(current, config.Config.Compare)
+	return current
 }
 
 // EachWithin streams every n-node visibility-connected pattern to visit
@@ -77,9 +83,10 @@ func EachWithin(n, visRange int, visit func(config.Config) bool) int {
 	return count
 }
 
-// growWithinInto extends c by one node within visRange of an existing
-// node, deduplicating by compact key into dst.
-func growWithinInto(c config.Config, visRange int, dst *patternMap, scr *growScratch) {
+// growWithinInto appends to dst, normalized, every extension of c by
+// one node within visRange of an existing node whose pattern seen has
+// not held yet, and returns the extended slice.
+func growWithinInto(c config.Config, visRange int, seen *config.PatternSet, dst []config.Config, scr *growScratch) []config.Config {
 	scr.base = c.AppendNodes(scr.base[:0])
 	for _, v := range scr.base {
 		for _, nb := range v.Disk(visRange) {
@@ -87,9 +94,12 @@ func growWithinInto(c config.Config, visRange int, dst *patternMap, scr *growScr
 				continue
 			}
 			scr.merged = mergeInsert(scr.merged[:0], scr.base, nb)
-			dst.addMerged(scr.merged)
+			if seen.AddNodes(scr.merged) {
+				dst = append(dst, config.New(scr.merged...).Normalize())
+			}
 		}
 	}
+	return dst
 }
 
 // RandomWithin grows one random n-node configuration whose visibility

@@ -1,6 +1,10 @@
 package memo
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/config"
+)
 
 // Flight adds true single-flight deduplication on top of a Store: an
 // opt-in in-flight wait table that guarantees at most one computation
@@ -27,7 +31,7 @@ type Flight[V any] struct {
 	store *Store[V]
 
 	mu    sync.Mutex
-	calls map[Key]*flightCall[V]
+	calls map[config.Key128]*flightCall[V]
 }
 
 type flightCall[V any] struct {
@@ -40,7 +44,7 @@ type flightCall[V any] struct {
 // be shared with direct Load/Publish users (a sweep warming the same
 // store, say); Flight only adds coordination for its own callers.
 func NewFlight[V any](store *Store[V]) *Flight[V] {
-	return &Flight[V]{store: store, calls: make(map[Key]*flightCall[V])}
+	return &Flight[V]{store: store, calls: make(map[config.Key128]*flightCall[V])}
 }
 
 // Store returns the underlying store.
@@ -52,7 +56,7 @@ func (f *Flight[V]) Store() *Store[V] { return f.store }
 // its result. shared reports whether this caller got someone else's
 // result (a store hit or a joined flight) rather than running compute
 // itself.
-func (f *Flight[V]) Do(key Key, compute func() (V, error)) (v V, shared bool, err error) {
+func (f *Flight[V]) Do(key config.Key128, compute func() (V, error)) (v V, shared bool, err error) {
 	if v, ok := f.store.Load(key); ok {
 		return v, true, nil
 	}

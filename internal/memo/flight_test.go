@@ -8,11 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/grid"
 )
 
-func flightKey(i int) Key {
-	return KeyOf([]grid.Coord{{Q: 0, R: 0}, {Q: i + 1, R: 0}})
+func flightKey(i int) config.Key128 {
+	return keyOf(grid.Coord{Q: 0, R: 0}, grid.Coord{Q: i + 1, R: 0})
 }
 
 // TestFlight_OneComputePerKey is the single-flight hammer: many

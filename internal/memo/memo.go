@@ -1,14 +1,18 @@
 // Package memo is the shared configuration-keyed state store: one
-// sharded, lock-striped, publish-once map from translation-invariant
-// pattern keys to final verdicts, consumed by every layer that caches
-// facts about configurations — the run-outcome memo (the memoized walk
-// of internal/sim's run loop under FSYNC and the periodic schedulers;
+// sharded, lock-striped, publish-once map from exact
+// translation-invariant pattern keys (config.Key128, phase-folded by
+// Key128.WithPhase where a state carries a scheduler phase) to final
+// verdicts, consumed by every layer that caches facts about
+// configurations — the run-outcome memo (the memoized walk of
+// internal/sim's run loop under FSYNC and the periodic schedulers;
 // random schedules share no-mover facts through it), and the
-// adversarial safety-game solver
-// (internal/adversary). The machinery grew up inside the adversary
-// solver; this package is its extraction, generalized over the stored
-// value so both clients share one sharding scheme and one
-// publication discipline.
+// adversarial safety-game solver (internal/adversary). The machinery
+// grew up inside the adversary solver; this package is its
+// extraction, generalized over the stored value so both clients share
+// one sharding scheme and one publication discipline. A state with no
+// exact key (more than config.MaxKeyNodes robots, or a spread past 15,
+// which only relaxed starts reach) is not memoized at all: its client
+// runs it unmemoized.
 //
 // The store's own discipline is single-flight in effect, not in
 // mechanism: there is no per-key in-flight tracking. Instead, values
@@ -31,95 +35,20 @@ import (
 	"unsafe"
 
 	"repro/internal/config"
-	"repro/internal/grid"
 )
-
-// Key identifies a configuration pattern: the exact config.Key128 for
-// every pattern inside the 128-bit envelope (all connected patterns of
-// at most 14 robots), the canonical string for the rest. It is
-// comparable, so it keys Go maps directly.
-type Key struct {
-	K     config.Key128
-	S     string
-	Exact bool
-}
-
-// KeyOf builds the key of a sorted node list (the config.Config
-// invariant: ascending by Q, then R).
-func KeyOf(nodes []grid.Coord) Key {
-	if k, ok := config.Key128Nodes(nodes); ok {
-		return Key{K: k, Exact: true}
-	}
-	return Key{S: config.New(nodes...).Key()}
-}
-
-// phaseBits is the width of the phase field WithPhase folds into the
-// key, and phaseShift its position: the Key128 encoding uses at most
-// 4 + 13·9 = 121 bits (see config.Key128Nodes), so the top 7 bits of
-// Hi are structurally zero for every exact key and folding a phase
-// into them cannot collide with another pattern's key.
-const (
-	phaseBits  = 7
-	phaseShift = 64 - phaseBits
-	// MaxPhase is the largest phase WithPhase can fold into an exact
-	// key. Larger phases degrade to the string fallback.
-	MaxPhase = 1<<phaseBits - 1
-)
-
-// WithPhase scopes the key by an execution phase — the round number
-// modulo a deterministic scheduler's period, for clients whose
-// execution state is (pattern, phase) rather than the bare pattern.
-// Phase 0 returns the key unchanged, so phase-less clients and phase-0
-// states share entries. Exact keys fold the phase into the structurally
-// zero top bits of Hi; phases past MaxPhase (no real scheduler period
-// comes close) fall back to a prefixed string key.
-func (k Key) WithPhase(ph int) Key {
-	if ph == 0 {
-		return k
-	}
-	if k.Exact && ph <= MaxPhase {
-		k.K.Hi |= uint64(ph) << phaseShift
-		return k
-	}
-	if k.Exact {
-		// Degrade: re-encode as a string so the phase stays exact.
-		k = Key{S: phaseString(ph, keyString(k))}
-	} else {
-		k.S = phaseString(ph, k.S)
-	}
-	return k
-}
-
-// keyString renders an exact key's words as a unique string (only used
-// on the cold MaxPhase-overflow path).
-func keyString(k Key) string {
-	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(k.K.Hi >> (8 * i))
-		b[8+i] = byte(k.K.Lo >> (8 * i))
-	}
-	return string(b[:])
-}
-
-func phaseString(ph int, s string) string {
-	return string(rune('0'+ph/64)) + string(rune('0'+ph%64)) + "|" + s
-}
 
 // Shards is the lock-striping width of a Store. 64 shards keep
 // contention negligible for any worker count a sweep runs (the
 // per-shard critical sections are single map operations).
 const Shards = 64
 
-// Store is the sharded concurrent fact store: a map from Key to V,
-// lock-striped over the exact keys, with a string-keyed slow map for
-// patterns past the 128-bit envelope. Values must be published only
+// Store is the sharded concurrent fact store: a map from config.Key128
+// to V, lock-striped over 64 shards. Values must be published only
 // once final (see the package comment); publication is
 // first-write-wins. A Store is safe for concurrent use by any number
 // of goroutines. Build with NewStore; the zero value is not usable.
 type Store[V any] struct {
 	shards [Shards]shard[V]
-	slowMu sync.RWMutex
-	slow   map[string]V
 
 	created atomic.Int64
 	hits    atomic.Int64
@@ -137,7 +66,7 @@ type shard[V any] struct {
 
 // NewStore builds an empty store.
 func NewStore[V any]() *Store[V] {
-	s := &Store[V]{slow: make(map[string]V)}
+	s := &Store[V]{}
 	for i := range s.shards {
 		s.shards[i].m = make(map[config.Key128]V)
 	}
@@ -152,19 +81,11 @@ func shardOf(k config.Key128) int {
 
 // Load returns the published value for a key, if any, and counts the
 // lookup in the hit/miss statistics.
-func (s *Store[V]) Load(key Key) (V, bool) {
-	var v V
-	var ok bool
-	if key.Exact {
-		sh := &s.shards[shardOf(key.K)]
-		sh.mu.RLock()
-		v, ok = sh.m[key.K]
-		sh.mu.RUnlock()
-	} else {
-		s.slowMu.RLock()
-		v, ok = s.slow[key.S]
-		s.slowMu.RUnlock()
-	}
+func (s *Store[V]) Load(key config.Key128) (V, bool) {
+	sh := &s.shards[shardOf(key)]
+	sh.mu.RLock()
+	v, ok := sh.m[key]
+	sh.mu.RUnlock()
 	if ok {
 		s.hits.Add(1)
 	} else {
@@ -176,23 +97,14 @@ func (s *Store[V]) Load(key Key) (V, bool) {
 // Publish stores a final value, keeping any already-published one
 // (first-write-wins — concurrent publishers hold equivalent values by
 // the package contract) and counting each distinct key once.
-func (s *Store[V]) Publish(key Key, v V) {
-	if key.Exact {
-		sh := &s.shards[shardOf(key.K)]
-		sh.mu.Lock()
-		if _, dup := sh.m[key.K]; !dup {
-			sh.m[key.K] = v
-			s.created.Add(1)
-		}
-		sh.mu.Unlock()
-		return
-	}
-	s.slowMu.Lock()
-	if _, dup := s.slow[key.S]; !dup {
-		s.slow[key.S] = v
+func (s *Store[V]) Publish(key config.Key128, v V) {
+	sh := &s.shards[shardOf(key)]
+	sh.mu.Lock()
+	if _, dup := sh.m[key]; !dup {
+		sh.m[key] = v
 		s.created.Add(1)
 	}
-	s.slowMu.Unlock()
+	sh.mu.Unlock()
 }
 
 // Created returns the number of distinct keys published so far.

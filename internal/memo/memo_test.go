@@ -10,75 +10,15 @@ import (
 	"repro/internal/grid"
 )
 
-func nodes(cs ...grid.Coord) []grid.Coord { return config.New(cs...).Nodes() }
-
-func TestKeyOfExactAndFallback(t *testing.T) {
-	small := nodes(grid.Coord{Q: 0, R: 0}, grid.Coord{Q: 1, R: 0}, grid.Coord{Q: 1, R: 1})
-	k := KeyOf(small)
-	if !k.Exact {
-		t.Fatalf("KeyOf(3 nodes) not exact: %+v", k)
-	}
-	want, ok := config.Key128Nodes(small)
-	if !ok || k.K != want {
-		t.Fatalf("KeyOf = %+v, want Key128 %+v", k, want)
-	}
-
-	// 15 nodes exceed the Key128 envelope: string fallback.
-	var wide []grid.Coord
-	for i := 0; i < 15; i++ {
-		wide = append(wide, grid.Coord{Q: i, R: 0})
-	}
-	k = KeyOf(nodes(wide...))
-	if k.Exact || k.S == "" {
-		t.Fatalf("KeyOf(15 nodes) should fall back to string, got %+v", k)
-	}
-}
-
-func TestWithPhase(t *testing.T) {
-	base := KeyOf(nodes(grid.Coord{Q: 0, R: 0}, grid.Coord{Q: 1, R: 0}))
-	if got := base.WithPhase(0); got != base {
-		t.Fatalf("WithPhase(0) changed the key: %+v vs %+v", got, base)
-	}
-	seen := map[Key]int{base: 0}
-	for ph := 1; ph <= MaxPhase; ph++ {
-		k := base.WithPhase(ph)
-		if !k.Exact {
-			t.Fatalf("WithPhase(%d) lost exactness", ph)
-		}
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("WithPhase(%d) collides with phase %d", ph, prev)
-		}
-		seen[k] = ph
-		// The phase must not disturb the pattern bits.
-		if k.K.Lo != base.K.Lo {
-			t.Fatalf("WithPhase(%d) altered Lo", ph)
-		}
-	}
-	// Past MaxPhase the key degrades to a still-unique string.
-	a, b := base.WithPhase(MaxPhase+1), base.WithPhase(MaxPhase+2)
-	if a.Exact || b.Exact || a == b || a == base.WithPhase(1) {
-		t.Fatalf("overflow phases not unique strings: %+v / %+v", a, b)
-	}
-}
-
-// TestWithPhaseDisjointAcrossPatterns checks the structural claim the
-// folding relies on: a phased key of one pattern can never equal any
-// phase of another pattern's key, because the pattern bits stay intact.
-func TestWithPhaseDisjointAcrossPatterns(t *testing.T) {
-	a := KeyOf(nodes(grid.Coord{Q: 0, R: 0}, grid.Coord{Q: 1, R: 0}))
-	b := KeyOf(nodes(grid.Coord{Q: 0, R: 0}, grid.Coord{Q: 1, R: 1}))
-	for pa := 0; pa <= 8; pa++ {
-		for pb := 0; pb <= 8; pb++ {
-			if a.WithPhase(pa) == b.WithPhase(pb) {
-				t.Fatalf("phase fold collides: pattern a phase %d == pattern b phase %d", pa, pb)
-			}
-		}
-	}
+// keyOf is the exact key of a small pattern.
+func keyOf(cs ...grid.Coord) config.Key128 {
+	k, _ := config.New(cs...).Key128()
+	return k
 }
 
 func TestStoreFirstWriteWinsAndCounters(t *testing.T) {
 	s := NewStore[int]()
-	k := KeyOf(nodes(grid.Coord{Q: 0, R: 0}, grid.Coord{Q: 1, R: 0}))
+	k := keyOf(grid.Coord{Q: 0, R: 0}, grid.Coord{Q: 1, R: 0})
 	if _, ok := s.Load(k); ok {
 		t.Fatal("empty store hit")
 	}
@@ -93,18 +33,6 @@ func TestStoreFirstWriteWinsAndCounters(t *testing.T) {
 	if s.Hits() != 1 || s.Misses() != 1 {
 		t.Fatalf("Hits/Misses = %d/%d, want 1/1", s.Hits(), s.Misses())
 	}
-
-	// String-fallback keys go through the slow map with the same
-	// semantics.
-	sk := Key{S: "wide-pattern"}
-	s.Publish(sk, 9)
-	s.Publish(sk, 10)
-	if v, ok := s.Load(sk); !ok || v != 9 {
-		t.Fatalf("slow Load = %d,%v; want 9,true", v, ok)
-	}
-	if s.Created() != 2 {
-		t.Fatalf("Created = %d, want 2", s.Created())
-	}
 }
 
 // TestStoreHammer is the concurrency smoke test the -race runs lean
@@ -115,13 +43,13 @@ func TestStoreFirstWriteWinsAndCounters(t *testing.T) {
 func TestStoreHammer(t *testing.T) {
 	s := NewStore[uint64]()
 	const keys = 512
-	ks := make([]Key, keys)
+	ks := make([]config.Key128, keys)
 	vals := make([]uint64, keys)
 	for i := range ks {
 		// Distinct two-robot patterns: anchor at origin, second node at
 		// (1..15, i%16) — all within the exact envelope.
 		c := grid.Coord{Q: 1 + i/16%15, R: i % 16}
-		ks[i] = KeyOf(nodes(grid.Coord{Q: 0, R: 0}, c)).WithPhase(i / 240 % MaxPhase)
+		ks[i], _ = keyOf(grid.Coord{Q: 0, R: 0}, c).WithPhase(i / 240)
 		vals[i] = uint64(i)*0x9e3779b9 + 1
 	}
 	// Phased variants of few patterns overlap heavily across workers.
@@ -145,7 +73,7 @@ func TestStoreHammer(t *testing.T) {
 	wg.Wait()
 	// Keys may alias through WithPhase reuse above; created is bounded
 	// by the distinct key count.
-	distinct := map[Key]bool{}
+	distinct := map[config.Key128]bool{}
 	for _, k := range ks {
 		distinct[k] = true
 	}

@@ -79,11 +79,11 @@ type CycleInfo struct {
 	// Members holds the keys of the on-cycle states. It is complete
 	// before any outcome referencing this CycleInfo is published, and
 	// immutable afterwards.
-	Members map[Key]struct{}
+	Members map[config.Key128]struct{}
 }
 
 // OnCycle reports whether the key is one of the cycle's states.
-func (ci *CycleInfo) OnCycle(k Key) bool {
+func (ci *CycleInfo) OnCycle(k config.Key128) bool {
 	_, ok := ci.Members[k]
 	return ok
 }

@@ -103,16 +103,12 @@ func (s *Service) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if n := cfg.Len(); n < 1 || n > MaxQueryRobots {
-		http.Error(w, fmt.Sprintf("%d robots outside the query envelope [1,%d]", n, MaxQueryRobots), http.StatusBadRequest)
-		return
-	}
 	algName := r.URL.Query().Get("alg")
 	start := time.Now()
 	rec, src, err := s.Verdict(r.Context(), algName, cfg)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if errors.Is(err, ErrUnknownAlgorithm) {
+		if errors.Is(err, ErrUnknownAlgorithm) || errors.Is(err, ErrOutsideEnvelope) {
 			status = http.StatusBadRequest
 		}
 		http.Error(w, err.Error(), status)

@@ -82,6 +82,7 @@ func TestHTTPVerdictErrors(t *testing.T) {
 		{"malformed key", "/verdict?key=zebra", 400},
 		{"unknown alg", "/verdict?key=0,0:1,0&alg=nope", 400},
 		{"oversized", "/verdict?key=0,0:1,0:2,0:3,0:4,0:5,0:6,0:7,0:8,0:9,0:10,0:11,0:12,0:13,0:14,0", 400},
+		{"sparse", "/verdict?key=0,0:16,0", 400}, // spread 16: no exact key
 	} {
 		if resp := getJSON(t, srv.URL+tc.url, nil); resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)

@@ -43,12 +43,20 @@ import (
 
 // MaxQueryRobots is the largest pattern a query may carry: the
 // config.Key128 exact envelope, which both the table keys and the
-// flight-store keys rely on for collision-free identity.
-const MaxQueryRobots = 14
+// flight-store keys rely on for collision-free identity. A pattern
+// inside it by size but with a spread past 15 has no exact key either,
+// and is refused the same way (ErrOutsideEnvelope).
+const MaxQueryRobots = config.MaxKeyNodes
 
-// ErrUnknownAlgorithm wraps algorithm-resolution failures so the HTTP
-// layer can map them to 400 rather than 500.
-var ErrUnknownAlgorithm = errors.New("serve: unknown algorithm")
+var (
+	// ErrUnknownAlgorithm wraps algorithm-resolution failures so the
+	// HTTP layer can map them to 400 rather than 500.
+	ErrUnknownAlgorithm = errors.New("serve: unknown algorithm")
+	// ErrOutsideEnvelope wraps queries for patterns with no exact
+	// config.Key128 — empty, more than MaxQueryRobots robots, or a
+	// spread past 15 — so the HTTP layer can map them to 400.
+	ErrOutsideEnvelope = errors.New("serve: pattern outside the exact-key query envelope")
+)
 
 // Source says which tier answered a query.
 type Source uint8
@@ -225,7 +233,8 @@ func (s *Service) SolveCount(algName string) int64 {
 // the named algorithm ("" = DefaultAlg). The hot path — a table-covered
 // pattern under the default algorithm — is one binary search over the
 // table and performs no allocation (benchmark-asserted); misses run the
-// live engines behind per-key single-flight.
+// live engines behind per-key single-flight. A pattern with no exact
+// config.Key128 fails with ErrOutsideEnvelope.
 func (s *Service) Verdict(ctx context.Context, algName string, cfg config.Config) (Record, Source, error) {
 	s.met.Requests.Inc()
 	if algName == "" {
@@ -247,8 +256,9 @@ func (s *Service) Verdict(ctx context.Context, algName string, cfg config.Config
 }
 
 func (s *Service) miss(ctx context.Context, algName string, cfg config.Config) (Record, Source, error) {
-	if n := cfg.Len(); n < 1 || n > MaxQueryRobots {
-		return 0, SourceSolved, fmt.Errorf("serve: %d robots outside the query envelope [1,%d]", n, MaxQueryRobots)
+	key, exact := cfg.Key128()
+	if cfg.Len() < 1 || !exact {
+		return 0, SourceSolved, fmt.Errorf("%w: %d robots (want 1..%d, spread at most 15)", ErrOutsideEnvelope, cfg.Len(), MaxQueryRobots)
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, SourceSolved, err
@@ -257,7 +267,7 @@ func (s *Service) miss(ctx context.Context, algName string, cfg config.Config) (
 	if err != nil {
 		return 0, SourceSolved, err
 	}
-	rec, shared, err := e.flight.Do(memo.KeyOf(cfg.Nodes()), func() (Record, error) {
+	rec, shared, err := e.flight.Do(key, func() (Record, error) {
 		e.solves.Add(1)
 		s.met.Solves.Inc()
 		return s.solve(e, cfg)

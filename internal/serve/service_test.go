@@ -201,8 +201,12 @@ func TestVerdictErrors(t *testing.T) {
 	for q := 1; q <= MaxQueryRobots; q++ {
 		key += ";" + itoa(q) + ",0"
 	}
-	if _, _, err := s.Verdict(context.Background(), "", mustParse(t, key)); err == nil {
-		t.Fatalf("%d robots accepted beyond the envelope", MaxQueryRobots+1)
+	if _, _, err := s.Verdict(context.Background(), "", mustParse(t, key)); !errors.Is(err, ErrOutsideEnvelope) {
+		t.Fatalf("%d robots: error %v, want ErrOutsideEnvelope", MaxQueryRobots+1, err)
+	}
+	// Two robots 16 apart fit the robot bound but not the key's spread.
+	if _, _, err := s.Verdict(context.Background(), "", mustParse(t, "0,0;16,0")); !errors.Is(err, ErrOutsideEnvelope) {
+		t.Fatalf("spread-16 pattern: error %v, want ErrOutsideEnvelope", err)
 	}
 	if _, err := NewService(Options{DefaultAlg: "nope"}); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("NewService accepted unknown default algorithm: %v", err)

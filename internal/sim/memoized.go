@@ -26,7 +26,7 @@ import (
 // counting as rounds, so every budget guard compares raw iterations
 // (Outcome.Raw, CycleInfo.RawLen) against MaxRounds while the spliced
 // Result reports counted rounds and moves. Keys are the bare pattern
-// key under period 1 and the phase-folded key (memo.Key.WithPhase)
+// key under period 1 and the phase-folded key (config.Key128.WithPhase)
 // under a longer period (phaseKey).
 //
 // Runs under a non-periodic activation (seeded SSYNC schedules) do not
@@ -110,7 +110,7 @@ type walk struct {
 
 // pathState is one fresh state of the walk's own trajectory.
 type pathState struct {
-	key memo.Key
+	key config.Key128
 	// cfg is the state's configuration, zero for the initial state
 	// until cfgAt copies it.
 	cfg config.Config
@@ -126,7 +126,7 @@ type pathState struct {
 // returns the result the direct run would have produced and true;
 // false means the loop keeps running (a miss, or an outcome that does
 // not fit the remaining budget).
-func (w *walk) visit(st *memo.Outcomes, key memo.Key, cfg config.Config, raw, rounds, moves int) (Result, bool) {
+func (w *walk) visit(st *memo.Outcomes, key config.Key128, cfg config.Config, raw, rounds, moves int) (Result, bool) {
 	// Grow by hand, then reslice: `w.path = append(w.path, …)` through
 	// the pointer would push the loop's initial path buffer to the heap.
 	if len(w.path) == cap(w.path) {
@@ -251,7 +251,7 @@ func (w *walk) backfill(st *memo.Outcomes, r Result, endRaw int, ci *memo.CycleI
 // trajectory: the state keyed key, reached after raw iterations,
 // rounds counted rounds and moves robot steps, repeats a path state,
 // and the path from that state on is the cycle.
-func (w *walk) closeCycle(st *memo.Outcomes, key memo.Key, raw, rounds, moves int) {
+func (w *walk) closeCycle(st *memo.Outcomes, key config.Key128, raw, rounds, moves int) {
 	t0 := 0
 	for w.path[t0].key != key {
 		t0++
@@ -259,7 +259,7 @@ func (w *walk) closeCycle(st *memo.Outcomes, key memo.Key, raw, rounds, moves in
 	entry := w.path[t0]
 	ci := &memo.CycleInfo{
 		Len: int32(rounds - entry.rounds), RawLen: int32(raw - entry.raw),
-		Moves: int32(moves - entry.moves), Members: make(map[memo.Key]struct{}, len(w.path)-t0),
+		Moves: int32(moves - entry.moves), Members: make(map[config.Key128]struct{}, len(w.path)-t0),
 	}
 	for _, ps := range w.path[t0:] {
 		ci.Members[ps.key] = struct{}{}

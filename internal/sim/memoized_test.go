@@ -110,7 +110,7 @@ type walker struct {
 	name string
 	run  func(c config.Config, opts sim.Options) sim.Result
 	// key is the walk's key for c's initial state.
-	key func(c config.Config) memo.Key
+	key func(c config.Config) config.Key128
 }
 
 func walkers() []walker {
@@ -118,11 +118,15 @@ func walkers() []walker {
 	return []walker{
 		{"fsync",
 			func(c config.Config, o sim.Options) sim.Result { return sim.Run(alg, c, o) },
-			func(c config.Config) memo.Key { return memo.KeyOf(c.Nodes()) }},
+			func(c config.Config) config.Key128 { k, _ := c.Key128(); return k }},
 		{"round-robin",
 			func(c config.Config, o sim.Options) sim.Result { return sched.Run(alg, c, sched.RoundRobin{}, o) },
 			// Iteration 0 sits in phase slot 1 of a period-n scheduler.
-			func(c config.Config) memo.Key { return memo.KeyOf(c.Nodes()).WithPhase(1) }},
+			func(c config.Config) config.Key128 {
+				k, _ := c.Key128()
+				k, _ = k.WithPhase(1)
+				return k
+			}},
 	}
 }
 

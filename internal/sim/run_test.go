@@ -31,7 +31,7 @@ func TestFinalDoesNotAliasInitial(t *testing.T) {
 	} {
 		slab := append([]grid.Coord(nil), tc.nodes...)
 		initial := config.FromSortedNodes(slab)
-		key := memo.KeyOf(slab)
+		key, _ := config.Key128Nodes(slab)
 		for _, e := range []struct {
 			name string
 			run  func(config.Config, sim.Options) sim.Result
@@ -80,5 +80,54 @@ func TestRunBeyondStackScratch(t *testing.T) {
 			t.Errorf("n = %d: %v/%d rounds/%d moves, final %s; oracle %v/%d/%d, final %s",
 				n, got.Status, got.Rounds, got.Moves, got.Final.Key(), want.Status, want.Rounds, want.Moves, want.Final.Key())
 		}
+	}
+}
+
+// TestRunPastKeyEnvelope runs starts with no exact config.Key128 — a
+// line one robot past config.MaxKeyNodes, and a range-2 line whose
+// spread is 16 — through both entry points, once with a fresh outcome
+// store and once without. Such states are not memoized: each run must
+// equal the oracle's, and the store must stay empty.
+func TestRunPastKeyEnvelope(t *testing.T) {
+	sparse := make([]grid.Coord, 9)
+	for i := range sparse {
+		sparse[i] = grid.Coord{Q: 2 * i}
+	}
+	alg := core.Gatherer{}
+	for _, tc := range []struct {
+		name    string
+		initial config.Config
+		a       sim.Activation // nil: FSYNC
+	}{
+		{"line15/fsync", config.Line(grid.Origin, grid.E, config.MaxKeyNodes+1), nil},
+		{"line15/round-robin", config.Line(grid.Origin, grid.E, config.MaxKeyNodes+1), sched.RoundRobin{}},
+		{"sparse9/fsync", config.New(sparse...), nil},
+		{"sparse9/round-robin", config.New(sparse...), sched.RoundRobin{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, exact := tc.initial.Key128(); exact {
+				t.Fatalf("%s has an exact key", tc.initial.Key())
+			}
+			opts := sim.Options{DetectCycles: true, StopOnDisconnect: true}
+			want := oracle.Run(alg, tc.initial, opts)
+			if tc.a != nil {
+				want = oracle.RunActivated(alg, tc.initial, tc.a, opts)
+			}
+			st := memo.NewOutcomes()
+			for _, o := range []*memo.Outcomes{st, nil} {
+				opts.Outcomes = o
+				got := sim.RunActivated(alg, tc.initial, tc.a, opts)
+				if tc.a == nil {
+					got = sim.Run(alg, tc.initial, opts)
+				}
+				if got.Status != want.Status || got.Rounds != want.Rounds || got.Moves != want.Moves || got.Final.Key() != want.Final.Key() {
+					t.Errorf("store %v: %v/%d rounds/%d moves, final %s; oracle %v/%d/%d, final %s", o != nil,
+						got.Status, got.Rounds, got.Moves, got.Final.Key(), want.Status, want.Rounds, want.Moves, want.Final.Key())
+				}
+			}
+			if n := st.Created(); n != 0 {
+				t.Errorf("store holds %d outcomes, want none", n)
+			}
+		})
 	}
 }

@@ -181,6 +181,13 @@ type Options struct {
 	// shares): outcomes are facts about that dynamics, and mixing them
 	// is a caller error the store cannot detect. Robot count needs no
 	// scoping — the key encodes it.
+	//
+	// Only states with an exact key (config.Key128, phase-folded under
+	// a periodic scheduler) are memoized. The first state the run
+	// probes without one — more than config.MaxKeyNodes robots, or a
+	// spread past 15, which only relaxed starts reach — drops the store
+	// for the rest of the run: no more probes, and nothing published
+	// from its walk, so the run is the unmemoized one.
 	Outcomes *memo.Outcomes
 }
 
@@ -339,21 +346,33 @@ func run(alg core.Algorithm, initial config.Config, a Activation, opts Options) 
 		w = walk{maxRounds: maxRounds, stallSlack: stallSlack, initial: initial, path: make([]pathState, 0, 8)}
 	}
 	// round counts loop iterations, idle ones included; idle counts
-	// the current streak of rounds with no movement.
+	// the current streak of rounds with no movement. key is the bare
+	// key of cur's pattern, set by each probe; cur does not change
+	// until the next probe.
 	idle := 0
+	var key config.Key128
 	for round := 0; ; round++ {
 		if round == maxRounds {
 			res.Status, res.Final = RoundLimit, configOf(curCfg, cur)
 			return res
 		}
 		if idle == 0 && st != nil {
-			key := memo.KeyOf(cur)
+			var ok bool
+			key, ok = config.Key128Nodes(cur)
+			pkey := key
+			if ok && walking {
+				pkey, ok = phaseKey(key, round, period)
+			}
+			if !ok {
+				// No exact key: the rest of the run is unmemoized.
+				st, walking = nil, false
+			}
 			if walking {
-				if r, spliced := w.visit(st, phaseKey(key, round, period), curCfg, round, res.Rounds, res.Moves); spliced {
+				if r, spliced := w.visit(st, pkey, curCfg, round, res.Rounds, res.Moves); spliced {
 					return r
 				}
 			}
-			if !walking || period > 1 {
+			if st != nil && (!walking || period > 1) {
 				// A universal no-mover fact at the bare key ends any
 				// schedule (a non-periodic one, or a phased key that
 				// did not).
@@ -409,7 +428,7 @@ func run(alg core.Algorithm, initial config.Config, a Activation, opts Options) 
 				// under any scheduler; a long idle streak proves that
 				// only for schedules known to have activated every
 				// robot, which non-periodic ones cannot guarantee.
-				st.Publish(memo.KeyOf(cur), memo.Outcome{Status: uint8(res.Status), Final: res.Final})
+				st.Publish(key, memo.Outcome{Status: uint8(res.Status), Final: res.Final})
 			}
 			return res
 		}
@@ -441,7 +460,11 @@ func run(alg core.Algorithm, initial config.Config, a Activation, opts Options) 
 			if !seen.AddPhase(cur, phase) {
 				res.Status, res.Final = Livelock, configOf(curCfg, cur)
 				if walking {
-					w.closeCycle(st, phaseKey(memo.KeyOf(cur), round+1, period), round+1, res.Rounds, res.Moves)
+					// cur repeats a state the walk keyed, so its key is
+					// exact.
+					k, _ := config.Key128Nodes(cur)
+					k, _ = phaseKey(k, round+1, period)
+					w.closeCycle(st, k, round+1, res.Rounds, res.Moves)
 				}
 				return res
 			}
@@ -485,16 +508,16 @@ func configOf(cfg config.Config, nodes []grid.Coord) config.Config {
 	return cfg
 }
 
-// phaseKey keys the fresh state entering loop iteration round under a
-// periodic activation: period 1 (FSYNC) uses the bare pattern key, so
-// FSYNC facts serve every scheduler's no-mover probe, and longer
-// periods shift into phase slots 1..period so they never collide with
-// bare keys.
-func phaseKey(k memo.Key, round, period int) memo.Key {
+// phaseKey keys the fresh state of bare key k entering loop iteration
+// round under a periodic activation: period 1 (FSYNC) uses the bare
+// pattern key, so FSYNC facts serve every scheduler's no-mover probe,
+// and longer periods shift into phase slots 1..period so they never
+// collide with bare keys. ok is false past WithPhase's range.
+func phaseKey(k config.Key128, round, period int) (config.Key128, bool) {
 	if period > 1 {
 		return k.WithPhase(round%period + 1)
 	}
-	return k
+	return k, true
 }
 
 // Step executes one FSYNC round through the kernel: every robot Looks,
