@@ -19,7 +19,7 @@
 //	E17 BenchmarkE17_DistOverhead        — distributed-sweep coordination cost
 //	E18 BenchmarkE18_VerdictService      — verdict-service hit path (O(1), 0 allocs)
 //	E20 BenchmarkE20_N10Sweep            — the full n = 10 FSYNC map
-//	E20 BenchmarkE20_EnumerateN10Key     — key-native n = 10 enumeration
+//	E20 BenchmarkE20_EnumerateN10Key     — Redelmeier n = 10 enumeration
 //
 // Run all of them with: go test -bench=. -benchmem .
 package repro
@@ -387,13 +387,13 @@ func BenchmarkE20_N10Sweep(b *testing.B) {
 	}
 }
 
-// BenchmarkE20_EnumerateN10Key is the tentpole measurement: the key-native
-// engine enumerating the 362671-pattern n = 10 space. Frontier
-// generations are packed-key sets — a duplicate candidate costs a
-// probe of a flat open-addressed table and no allocation — and the
-// result materializes into one contiguous node array at the end.
-// Its acceptance floor against the materializing engine it replaced
-// (EXPERIMENTS.md, E20) was ≥ 3× ns/op and ≥ 5× allocs/op.
+// BenchmarkE20_EnumerateN10Key measures the enumeration of the
+// 362671-pattern n = 10 space: Redelmeier's search produces each
+// pattern once as a packed key, with no dedup set and no allocation
+// per search node, and the sorted result materializes into one
+// contiguous node array at the end. Its acceptance floor against the
+// materializing engine the key-native growth replaced (EXPERIMENTS.md,
+// E20) was ≥ 3× ns/op and ≥ 5× allocs/op.
 func BenchmarkE20_EnumerateN10Key(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -52,9 +52,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s: n=%d patterns=%d digest=%s candidates=%d dedup_hit_rate=%.3f peak_frontier=%d patterns_per_sec=%.0f\n",
-			*out, ix.N(), ix.Count(), ix.Digest(),
-			stats.Candidates, stats.DedupHitRate(), stats.PeakFrontier, stats.PatternsPerSec())
+		// The search produces each pattern once, so it reports the
+		// patterns of every size it visited rather than a dedup rate.
+		fmt.Printf("%s: n=%d patterns=%d digest=%s searched=%d patterns_per_sec=%.0f\n",
+			*out, ix.N(), ix.Count(), ix.Digest(), stats.Unique, stats.PatternsPerSec())
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -5,8 +5,8 @@ package repro
 // connected 10-robot patterns (KnownCounts[10], cross-checked by
 // enumerate's TestKnownCountsTwoTier) under the seven-robot algorithm
 // and the generalized minimum-diameter goal. The space is served by
-// the key-native engine — frontier generations are packed-key sets,
-// patterns decode on visit — and swept through the shared outcome
+// the Redelmeier search — each pattern produced once as a packed key,
+// decoded on visit — and swept through the shared outcome
 // store, which again deduplicates the 362671 trajectories into one
 // traversal of the configuration graph (~4 s wall in one process).
 //

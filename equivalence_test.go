@@ -76,9 +76,9 @@ func TestThreeGathererPackedMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestCompactDedupMatchesStringDedup checks that the key-native
-// enumeration, which dedups on exact config.Key128 keys, produces
-// exactly the same pattern list as the oracle's string-key dedup for
+// TestCompactDedupMatchesStringDedup checks that the enumeration,
+// which keys each pattern by its exact config.Key128 and keeps no
+// dedup set, produces exactly the same pattern list as the oracle's string-key dedup for
 // every size through n=8: the paper's 3652 patterns at n=7, and the
 // full 16689-pattern E11 space at n=8 (skipped under -short).
 func TestCompactDedupMatchesStringDedup(t *testing.T) {

@@ -61,7 +61,7 @@
 //
 // # Concurrency
 //
-// The memo is sharded by key and lock-striped, and verdicts are
+// The memo is internal/memo's lock-free store, and verdicts are
 // published only once final, so a Solver is safe for concurrent use:
 // any number of goroutines may call Defeatable (or Adversary.Decide)
 // against one shared game graph.
@@ -129,7 +129,7 @@ type verdict struct {
 	choice step.Mask
 }
 
-// The verdict store is the shared sharded publish-once machinery of
+// The verdict store is the shared lock-free publish-once machinery of
 // internal/memo — originally grown here, now extracted so the FSYNC
 // outcome memo (internal/sim, internal/sweep) and the scheduler
 // rollouts (internal/sched) ride the identical store. Verdicts are
@@ -143,7 +143,7 @@ type verdict struct {
 // are memoized across calls — deciding many patterns of the same space
 // shares one colored game graph — so a Solver is the unit of reuse a
 // sweep should hold on to. It is safe for concurrent use: the memo is
-// sharded and lock-striped, and every search keeps its own DFS stack.
+// a lock-free store, and every search keeps its own DFS stack.
 type Solver struct {
 	k    step.Kernel
 	goal func(config.Config) bool

@@ -8,10 +8,10 @@ import (
 
 // This file is the inverse of the compact pattern keys: exact decoders
 // that rebuild the normalized pattern from a Key64/Key128 value. They
-// exist for the key-native enumeration engine (internal/enumerate),
-// whose frontier generations are key-only sets — a configuration is
-// materialized from its key only at visit time, so the decoders are the
-// engine's only path from key space back to coordinate space. Both are
+// exist for the enumeration (internal/enumerate), which produces key
+// lists — a configuration is materialized from its key only at visit
+// time, so the decoders are its only path from key space back to
+// coordinate space. Both are
 // strict round-trip inverses: FromKey64(k) succeeds exactly on the
 // image of Key64Nodes and FromKey128 on the image of Key128Nodes, and
 // malformed keys (field out of range, nodes out of order) are rejected
@@ -98,12 +98,13 @@ func shr9n(key Key128, k int) Key128 {
 }
 
 // FromSortedNodes wraps an already-sorted, duplicate-free node list as
-// a Config without copying — the bulk-materialization fast path of the
-// key-native enumeration engine, which decodes whole generations into
-// one contiguous backing array instead of one allocation per pattern.
+// a Config without copying — the fast path of the connected
+// enumeration, which decodes a whole key list into one contiguous
+// backing array instead of one allocation per pattern, and of the
+// relaxed growth, which normalizes (and so copies) its scratch list.
 // The caller warrants the Config invariant (ascending by Q then R, no
-// duplicates) and must not modify the slice afterwards; use New when
-// the input is untrusted.
+// duplicates) and must not modify the slice while the Config is in
+// use; use New when the input is untrusted.
 func FromSortedNodes(nodes []grid.Coord) Config {
 	return Config{nodes: nodes}
 }

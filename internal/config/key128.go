@@ -18,7 +18,7 @@ import "repro/internal/grid"
 // covers: n = MaxKeyNodes uses 4 + 9·(n−1) = 121 bits, and one more
 // node would need 130. Every connected pattern through this size is
 // exactly encodable (spread at most n − 1 ≤ 13 < 15), which is what
-// lets the enumeration engine run key-native through it. It is the one
+// lets the enumeration key every pattern through it. It is the one
 // statement of the envelope: the enumeration, adversary and serving
 // bounds derive from it.
 const MaxKeyNodes = 14
@@ -43,6 +43,21 @@ func (k Key128) Compare(o Key128) int {
 		return 1
 	}
 	return 0
+}
+
+// Hash mixes both key words through a full-avalanche finalizer
+// (murmur3 fmix64): pattern keys concentrate their entropy in a few
+// delta fields, so a plain multiplicative hash leaves bits clustered
+// and linear probing degrades. After fmix64 every output bit depends
+// on every input bit, so any slice of the hash indexes a table well.
+func (k Key128) Hash() uint64 {
+	h := k.Lo ^ k.Hi*0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // Key128 returns a compact translation-invariant key for the pattern,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -239,6 +240,28 @@ func TestVariantNames(t *testing.T) {
 	}
 	if Variant(99).String() == "" {
 		t.Error("unknown variant must still render")
+	}
+}
+
+// TestOverrideIndexMatchesTable: every generated override is found
+// through the packed-view index with the same move, for the view Look
+// builds from the key's pattern, and the index holds nothing else.
+func TestOverrideIndexMatchesTable(t *testing.T) {
+	if len(overrideIndex) != len(generatedOverrides) {
+		t.Fatalf("index has %d entries, table %d", len(overrideIndex), len(generatedOverrides))
+	}
+	for key, want := range generatedOverrides {
+		c, err := config.ParseKey(strings.TrimPrefix(key, "r2:"))
+		if err != nil {
+			t.Fatalf("override key %q: %v", key, err)
+		}
+		v := vision.Look(c, grid.Origin, 2)
+		if v.Key() != key {
+			t.Fatalf("Look over %q keys as %q", key, v.Key())
+		}
+		if got, ok := (Gatherer{}).override(v); !ok || got != want {
+			t.Errorf("override %q: index gives %v,%v, table %v", key, got, ok, want)
+		}
 	}
 }
 

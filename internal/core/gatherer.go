@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
+	"repro/internal/config"
 	"repro/internal/vision"
 )
 
@@ -63,11 +65,7 @@ func (g Gatherer) Compute(v vision.View) Move {
 		return g.paperMove(v)
 	}
 	if g.Variant == VariantFull {
-		table := g.Table
-		if table == nil {
-			table = generatedOverrides
-		}
-		if m, ok := table[v.Key()]; ok {
+		if m, ok := g.override(v); ok {
 			if !m.IsMove() || safeMove(v, m.Direction()) {
 				return m
 			}
@@ -86,6 +84,39 @@ func (g Gatherer) Compute(v vision.View) Move {
 	}
 	return reconstructionMove(v)
 }
+
+// override looks the view up in the override table: a custom Table by
+// the view's string key, the generated table through overrideIndex.
+func (g Gatherer) override(v vision.View) (Move, bool) {
+	if g.Table != nil {
+		m, ok := g.Table[v.Key()]
+		return m, ok
+	}
+	pv, _ := v.Pack() // a view past the packed ranges keys as no entry
+	m, ok := overrideIndex[pv.Key64()]
+	return m, ok
+}
+
+// overrideIndex is generatedOverrides keyed by packed view, built at
+// init, so a view-memo miss finds its override without formatting the
+// view's string key. Every entry must round-trip through
+// vision.FromOffsets, View.Key and View.Pack.
+var overrideIndex = func() map[uint64]Move {
+	idx := make(map[uint64]Move, len(generatedOverrides))
+	for key, m := range generatedOverrides {
+		var rng int
+		head, offsets, _ := strings.Cut(key, ":")
+		_, err := fmt.Sscanf(head, "r%d", &rng)
+		c, perr := config.ParseKey(offsets)
+		v := vision.FromOffsets(rng, c.Nodes()...)
+		pv, ok := v.Pack()
+		if err != nil || perr != nil || !ok || v.Key() != key {
+			panic(fmt.Sprintf("core: override key %q is not a canonical packed view", key))
+		}
+		idx[pv.Key64()] = m
+	}
+	return idx
+}()
 
 // gathererMemos are the process-wide memo tables behind ComputePacked,
 // one per variant so ablations never share decisions. They fill on

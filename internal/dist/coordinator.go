@@ -177,9 +177,9 @@ func planMeta(opts Options) (sweep.Meta, error) {
 	} else if ss, ok := spec.Source.(sweep.EnumStatsSource); ok {
 		if es, built := ss.EnumStats(); built {
 			recordEnumStats(opts.Metrics, es)
-			opts.Log("dist: enumerated %s: %d patterns in %.2fs (%.0f patterns/s, dedup hit rate %.3f, peak frontier %d)",
+			opts.Log("dist: enumerated %s: %d patterns in %.2fs (%.0f patterns/s, %d patterns of every size searched)",
 				meta.Source, es.Patterns, float64(es.DurationUS)/1e6,
-				es.PatternsPerSec(), es.DedupHitRate(), es.PeakFrontier)
+				es.PatternsPerSec(), es.Unique)
 		}
 	}
 	return meta, nil

@@ -136,8 +136,14 @@ func RunShard(ctx context.Context, d sweep.SpecDesc, shard sweep.Range, w io.Wri
 }
 
 // recordEnumStats publishes one enumeration's statistics to a
-// registry. The registry is integer-valued, so the dedup hit rate
-// lands in parts per million.
+// registry: enum_patterns is the size-n count, enum_candidates the
+// extensions the search made (every pattern of every size it visited
+// but the one-node root, each once), enum_peak_frontier the largest
+// size class (the size-n one) and enum_dedup_hit_rate_ppm the share of
+// duplicate candidates in parts per million — 0, since the search
+// produces none. The gauges keep the names of the
+// generation-by-generation growth the search replaced, so dashboards
+// read the same series.
 func recordEnumStats(reg *metrics.Registry, es enumerate.Stats) {
 	reg.Gauge("enum_patterns").Set(int64(es.Patterns))
 	reg.Gauge("enum_candidates").Set(es.Candidates)

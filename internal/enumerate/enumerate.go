@@ -10,19 +10,18 @@
 // share a global compass, so differently oriented patterns are genuinely
 // different inputs.
 //
-// Enumeration is key-native (keys.go): frontier generations are
-// key-only sets — a candidate extension is keyed straight from the
-// growth scratch as a config.Key128 (exact through MaxKeyN = 14 nodes)
-// and deduplicated in a lock-striped shard set, so a duplicate
-// candidate costs one probe and no allocation, and a configuration is
-// only rebuilt from its key (config.FromKey128) when a caller visits
-// it. The canonical output order is ascending key order ("key/v1"),
-// which coincides with the config.Compare order. Every entry point
-// refuses sizes past MaxKeyN. The relaxed-connectivity spaces
-// (relaxed.go), whose patterns may lie past the exact key, grow one
-// materialized generation at a time instead, deduplicated by a
-// config.PatternSet; the differential reference for both is the
-// string-keyed enumeration in the test-only internal/oracle package.
+// Enumeration runs Redelmeier's algorithm (keys.go): every pattern is
+// produced exactly once, anchored at its smallest node, so no dedup
+// set is kept; a size-n pattern is keyed as a config.Key128 (exact
+// through MaxKeyN = 14 nodes), and a configuration is only rebuilt
+// from its key (config.FromKey128) when a caller visits it. The
+// canonical output order is ascending key order ("key/v1"), which
+// coincides with the config.Compare order. Every entry point refuses
+// sizes past MaxKeyN. The relaxed-connectivity spaces (relaxed.go),
+// whose patterns may lie past the exact key, grow one materialized
+// generation at a time instead, deduplicated by a config.PatternSet;
+// the differential reference for both is the string-keyed enumeration
+// in the test-only internal/oracle package.
 package enumerate
 
 import (
@@ -34,10 +33,11 @@ import (
 // translation for n = 0..12 (fixed polyhexes, OEIS A001207 shifted).
 // The paper's exhaustive space is the n = 7 entry; the n = 8 entry is
 // the E11 extension sweep's. Every entry through n = 12 sits inside
-// the exact Key128 envelope (spread ≤ 15), so the key-native dedup
-// reproduces these counts exactly; the tests cross-check n ≤ 10 under
-// -short, n = 11 routinely, and n = 12 behind ENUM_HEAVY=1 (a minute
-// of CPU and hundreds of megabytes of key set).
+// the exact Key128 envelope (spread ≤ 15), so the search reproduces
+// these counts with exact keys; the tests cross-check counts through
+// n = 10 under -short, n = 11 routinely, and n = 12 behind
+// ENUM_HEAVY=1, and the key lists through n = 11 at one and four
+// workers. A search pre-sizes its key buffers from these counts.
 var KnownCounts = [13]int{
 	0: 1, 1: 1, 2: 3, 3: 11, 4: 44, 5: 186, 6: 814, 7: 3652,
 	8: 16689, 9: 77359, 10: 362671, 11: 1716033, 12: 8182213,
@@ -46,15 +46,15 @@ var KnownCounts = [13]int{
 // Connected returns all connected n-node configurations up to
 // translation, sorted by node list (config.Compare, which equals the
 // canonical "key/v1" key order) so the output order is deterministic.
-// It runs the key-native engine serially — frontier generations are
-// key-only sets, and the result is decoded into one contiguous node
-// array at the end; see ConnectedStats for the fanned-out growth.
+// It runs the search on one worker and decodes the keys into a few
+// shared node arrays at the end; see ConnectedStats for the fanned-out
+// search.
 func Connected(n int) []config.Config {
 	list, _ := ConnectedStats(n, 1)
 	return list
 }
 
-// ConnectedStats is Connected plus the growth loop's Stats (workers
+// ConnectedStats is Connected plus the search's Stats (workers
 // ≤ 0 = GOMAXPROCS) — the instrumented entry the sweep layer threads
 // into its metrics registries.
 func ConnectedStats(n, workers int) ([]config.Config, Stats) {
@@ -67,15 +67,20 @@ func ConnectedStats(n, workers int) ([]config.Config, Stats) {
 }
 
 // Count returns the number of connected n-node patterns without
-// retaining, sorting, or materializing them: the growth loop runs on
-// key-only sets and only the final generation's size is read back. It
-// still enumerates — no closed form is known.
+// keeping, sorting, or materializing them: the search counts each
+// size-n pattern and keys none. It still enumerates — no closed form
+// is known.
 func Count(n int) int {
-	keys, _ := growKeyGenerations(n, 0)
-	return len(keys)
+	checkSize(n)
+	if n == 0 {
+		return 0
+	}
+	_, stats := search(n, normWorkers(0), false)
+	return stats.Patterns
 }
 
-// growScratch holds the per-goroutine buffers of the growth step.
+// growScratch holds the per-goroutine buffers of the relaxed growth
+// step.
 type growScratch struct {
 	base   []grid.Coord // parent pattern's nodes
 	merged []grid.Coord // parent nodes with the candidate inserted, sorted

@@ -20,13 +20,12 @@ func TestPolyhexCounts(t *testing.T) {
 }
 
 // TestKnownCountsTwoTier cross-checks the extended KnownCounts table
-// (through n = 12, OEIS A001207) against the key-native enumeration.
-// Every size through 12 is inside the exact Key128 envelope, so a
-// count mismatch means a dedup bug, not a key collision. The
-// key-native engine moved the tiers down a weight class: 8–10 run
-// even under -short (~0.6 s), 11 is routine (~3 s), and only 12
-// (~20 s of CPU and a ≈131 MB key set) stays behind ENUM_HEAVY=1 —
-// run it when touching the key or dedup code.
+// (through n = 12, OEIS A001207) against the search's count. Every
+// size through 12 is inside the exact Key128 envelope, and the search
+// keeps no set, so a count mismatch means a search bug. Counting keeps
+// no keys: 8–10 run even under -short, 11 routinely, and 12 (well
+// under a second) stays behind ENUM_HEAVY=1 with the heavier tiers of
+// the other packages.
 func TestKnownCountsTwoTier(t *testing.T) {
 	top := 10
 	if !testing.Short() {

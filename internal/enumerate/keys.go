@@ -4,60 +4,60 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/grid"
 )
 
-// This file is the key-native enumeration engine. A frontier
-// generation is a key-only set: candidates are keyed straight from the
-// growth scratch as config.Key128 values (childKey), deduplicated in a
-// 64-way lock-striped shard set (the internal/memo striping idiom), and
-// a configuration is rebuilt from its key (config.FromKey128) only when
-// a caller visits it. The canonical output order is ascending key order
-// — order "key/v1" in sweep.SpecDesc terms — which coincides exactly
-// with the config.Compare order: for same-n normalized patterns the key
-// is the fixed-width concatenation of the node deltas in node order, so
-// integer comparison of keys IS lexicographic comparison of node lists.
-// The final generation is sorted by a parallel chunk merge sort over
-// the packed keys instead of sort.Slice over configs.
+// This file is the connected enumeration engine: Redelmeier's
+// algorithm (D. H. Redelmeier, "Counting polyominoes: yet another
+// attack", Discrete Math. 36, 1981) on the triangular grid, whose node
+// adjacency is hexagonal cell adjacency. It produces every fixed
+// polyhex exactly once, so no dedup set is kept: a pattern is anchored
+// at its (Q, R)-smallest node, the origin, and a node may join only if
+// Q > 0, or Q = 0 and R ≥ 0, so every pattern comes out normalized. A
+// size-n pattern is keyed from its sorted nodes with
+// config.Key128Nodes, and a configuration is rebuilt from its key
+// (config.FromKey128) only when a caller visits it. The canonical
+// output order is ascending key order — order "key/v1" in
+// sweep.SpecDesc terms — which coincides exactly with the
+// config.Compare order: for same-n normalized patterns the key is the
+// fixed-width concatenation of the node deltas in node order, so
+// integer comparison of keys IS lexicographic comparison of node
+// lists. Each search worker sorts the keys it found, and the sorted
+// runs merge in parallel into canonical order.
 
-// MaxKeyN is the largest robot count the key-native engine covers:
-// every connected pattern through config.MaxKeyNodes nodes is exactly
+// MaxKeyN is the largest robot count the enumeration covers: every
+// connected pattern through config.MaxKeyNodes nodes is exactly
 // Key128-encodable (spread ≤ n−1). Every entry point refuses larger
 // sizes (checkSize): they are far past any tractable enumeration.
 const MaxKeyN = config.MaxKeyNodes
 
-// Stats describes one enumeration run of the key-native engine — the
-// satellite observability the sweep daemons surface (patterns/sec,
-// dedup hit rate, peak frontier size).
+// Stats describes one enumeration run — the observability the sweep
+// daemons surface (patterns/sec, dedup hit rate, peak frontier size).
+// The search holds no frontier and no dedup set; the fields keep the
+// meaning they had for the generation-by-generation growth it
+// replaced, so consumers read the same currency.
 type Stats struct {
-	// Patterns is the size of the final generation.
+	// Patterns is the number of size-n patterns.
 	Patterns int
-	// Unique is the number of distinct patterns across all generations
-	// (the configuration count of every intermediate size included).
+	// Unique is the number of distinct patterns of every size 1..n the
+	// search visited, each exactly once.
 	Unique int64
-	// Candidates is the number of candidate extensions keyed and
-	// probed against the dedup set; Candidates − (Unique − 1) of them
-	// were duplicates.
+	// Candidates is the number of extensions the search produced:
+	// every visited pattern but the one-node root, each produced once,
+	// so Candidates = Unique − 1 and none was a duplicate.
 	Candidates int64
-	// PeakFrontier is the largest single generation held at once.
+	// PeakFrontier is the largest size class, the size-n one.
 	PeakFrontier int
 	// DurationUS is the wall time of the enumeration in microseconds.
 	DurationUS int64
 }
 
-// DedupHitRate is the fraction of candidate probes that hit an
-// already-seen pattern — the work the key-only set absorbs without
-// allocating.
-func (s Stats) DedupHitRate() float64 {
-	if s.Candidates == 0 {
-		return 0
-	}
-	return float64(s.Candidates-(s.Unique-1)) / float64(s.Candidates)
-}
+// DedupHitRate is the fraction of candidate extensions that were
+// already-seen patterns: 0, since the search produces none.
+func (Stats) DedupHitRate() float64 { return 0 }
 
 // PatternsPerSec is the final-generation throughput of the run.
 func (s Stats) PatternsPerSec() float64 {
@@ -69,7 +69,7 @@ func (s Stats) PatternsPerSec() float64 {
 
 // Keys returns the canonical key list of every connected n-node
 // pattern up to translation: ascending config.Key128 order ("key/v1"),
-// which equals the config.Compare order Connected emits. The growth
+// which equals the config.Compare order Connected emits. The search
 // fans out over GOMAXPROCS workers. n must be at most MaxKeyN.
 func Keys(n int) []config.Key128 {
 	keys, _ := KeysStats(n, 0)
@@ -77,365 +77,202 @@ func Keys(n int) []config.Key128 {
 }
 
 // KeysStats is Keys with explicit worker-pool sizing (workers ≤ 0 =
-// GOMAXPROCS) and the run's Stats. The key list is identical — and
-// identically ordered — at every worker count.
+// GOMAXPROCS) and the run's Stats. The key list and the Stats are
+// identical — and the keys identically ordered — at every worker
+// count.
 func KeysStats(n, workers int) ([]config.Key128, Stats) {
-	keys, stats := growKeyGenerations(n, workers)
-	start := time.Now()
-	parallelSortKeys(keys, normWorkers(workers))
-	stats.DurationUS += time.Since(start).Microseconds()
-	return keys, stats
-}
-
-// growKeyGenerations runs the growth loop and returns the final
-// generation unsorted (content deterministic, order not).
-func growKeyGenerations(n, workers int) ([]config.Key128, Stats) {
 	checkSize(n)
-	var stats Stats
 	if n == 0 {
-		return nil, stats
+		return nil, Stats{}
 	}
 	workers = normWorkers(workers)
 	start := time.Now()
-	seed, _ := config.Key128Nodes([]grid.Coord{grid.Origin})
-	cur := []config.Key128{seed}
-	stats.Unique, stats.PeakFrontier = 1, 1
-	for size := 1; size < n; size++ {
-		cur = growKeys(cur, workers, &stats)
-		stats.Unique += int64(len(cur))
-		if len(cur) > stats.PeakFrontier {
-			stats.PeakFrontier = len(cur)
-		}
-	}
-	stats.Patterns = len(cur)
+	keys, stats := search(n, workers, true)
 	stats.DurationUS = time.Since(start).Microseconds()
-	return cur, stats
+	return keys, stats
 }
 
-// keyShardCount is the dedup set's stripe count, matching the
-// internal/memo store the enumeration feeds.
-const keyShardCount = 64
+// splitDepth is the pattern size at which a parallel search deals
+// subtrees out: every worker walks the patterns smaller than this, and
+// the k-th size-splitDepth pattern in search order (of KnownCounts[6]
+// = 814) roots a subtree that belongs to worker k mod W. Enumerations
+// no larger than this run on one worker.
+const splitDepth = 6
 
-// keyHash mixes both key words through a full-avalanche finalizer
-// (murmur3 fmix64): pattern keys concentrate their entropy in a few
-// delta fields, so a plain multiplicative hash leaves the low bits —
-// the table's slot index — clustered, and linear probing degrades.
-// After fmix64 every output bit depends on every input bit; the stripe
-// index reads the top 6 bits (memo's idiom) and the slot index the low
-// bits, so the two stay independent within a stripe.
-func keyHash(k config.Key128) uint64 {
-	h := k.Lo ^ k.Hi*0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-func keyShardOf(k config.Key128) int { return int(keyHash(k) >> (64 - 6)) }
-
-// keyTable is a flat open-addressed key set: power-of-two slot array,
-// linear probing, insert-only, the zero key as the empty sentinel
-// (every nonempty pattern's key carries its length field, so a valid
-// key is never zero). It replaces the builtin map for the frontier
-// sets because enumeration dedup is pure insert-or-skip on a two-word
-// value — no deletions, no stored values — and the flat table probes
-// in one cache line where map[config.Key128]struct{} pays bucket and
-// hashing overhead per candidate.
-type keyTable struct {
-	slots []config.Key128
-	mask  uint64
-	n     int
-}
-
-func newKeyTable(hint int) *keyTable {
-	size := 64
-	for size*3 < hint*4 { // keeps load ≤ 3/4 once hint keys arrive
-		size <<= 1
+// search runs Redelmeier's algorithm for size n on workers goroutines
+// and returns the size-n keys in ascending order (none when keep is
+// false) and the run's Stats without its duration. Each worker sorts
+// its own keys; the sorted runs then merge.
+func search(n, workers int, keep bool) ([]config.Key128, Stats) {
+	if n <= splitDepth {
+		workers = 1
 	}
-	return &keyTable{slots: make([]config.Key128, size), mask: uint64(size - 1)}
-}
-
-func (t *keyTable) insert(k config.Key128) {
-	i := keyHash(k) & t.mask
-	for {
-		s := t.slots[i]
-		if s == k {
-			return
-		}
-		if s == (config.Key128{}) {
-			t.slots[i] = k
-			t.n++
-			if t.n*4 >= len(t.slots)*3 {
-				t.grow()
+	ss := make([]*searcher, workers)
+	for w := range ss {
+		ss[w] = newSearcher(n, w, workers, keep)
+		if keep && n < len(KnownCounts) {
+			// A worker's share, with slack for the uneven deal when
+			// there are several: the largest share runs up to 8% over
+			// the mean at eight workers (n = 7..11), under 0.5% at two.
+			size := KnownCounts[n]
+			if workers > 1 {
+				size = size/workers + size/workers/8 + 64
 			}
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-func (t *keyTable) grow() {
-	old := t.slots
-	t.slots = make([]config.Key128, len(old)*2)
-	t.mask = uint64(len(t.slots) - 1)
-	for _, k := range old {
-		if k == (config.Key128{}) {
-			continue
-		}
-		i := keyHash(k) & t.mask
-		for t.slots[i] != (config.Key128{}) {
-			i = (i + 1) & t.mask
-		}
-		t.slots[i] = k
-	}
-}
-
-func (t *keyTable) appendKeys(dst []config.Key128) []config.Key128 {
-	for _, k := range t.slots {
-		if k != (config.Key128{}) {
-			dst = append(dst, k)
+			ss[w].keys = make([]config.Key128, 0, size)
 		}
 	}
-	return dst
-}
-
-// keySet is the lock-striped frontier set of the parallel growth step:
-// keyShardCount stripes, each one keyTable under its own mutex, with
-// batched insertion so the lock is taken once per keyBatchSize
-// candidates.
-type keySet struct {
-	shards [keyShardCount]keyShard
-}
-
-type keyShard struct {
-	mu sync.Mutex
-	t  *keyTable
-	// pad the stripe to its own cache line so neighboring mutexes do
-	// not false-share under contention.
-	_ [64 - 8*3]byte
-}
-
-func newKeySet(sizeHint int) *keySet {
-	s := &keySet{}
-	for i := range s.shards {
-		s.shards[i].t = newKeyTable(sizeHint / keyShardCount)
+	var wg sync.WaitGroup
+	for _, s := range ss {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.run()
+			slices.SortFunc(s.keys, config.Key128.Compare)
+		}()
 	}
+	wg.Wait()
+	var stats Stats
+	for _, s := range ss {
+		for size := 1; size <= n; size++ {
+			stats.Unique += s.sizes[size]
+		}
+		stats.Patterns += int(s.sizes[n])
+	}
+	stats.Candidates = stats.Unique - 1
+	stats.PeakFrontier = stats.Patterns // size classes grow with size
+	if !keep || workers == 1 {
+		return ss[0].keys, stats
+	}
+	keys := make([]config.Key128, 0, stats.Patterns)
+	bounds := []int{0}
+	for _, s := range ss {
+		keys = append(keys, s.keys...)
+		bounds = append(bounds, len(keys))
+	}
+	mergeRuns(keys, bounds)
+	return keys, stats
+}
+
+// searcher is one worker's Redelmeier state. A cell is the index
+// q·stride + r + n of the node (q, r) on the grid q ∈ [0, n],
+// r ∈ [−n, n], which holds every node of a size-n pattern anchored at
+// the origin and every neighbor of one. Index order is (Q, R) order,
+// and the indices below n are exactly the half-plane no node may join.
+type searcher struct {
+	n               int
+	worker, workers int
+	keep            bool
+
+	cells []cell
+	step  [grid.NumDirections]int32
+	// untried[s] is the untried set of the size-s pattern, one reused
+	// buffer per size.
+	untried [MaxKeyN][]int32
+	pattern []grid.Coord // the current pattern's nodes, sorted
+	leaf    []grid.Coord // a size-n pattern's nodes, sorted
+	dealt   int          // size-splitDepth patterns seen so far
+
+	sizes [MaxKeyN + 1]int64 // patterns visited per size
+	keys  []config.Key128    // size-n keys, sorted once the walk is done
+}
+
+// cell is one grid cell of a search: its node, and whether it is in
+// the pattern, in an untried set, or was tried at a shallower level.
+type cell struct {
+	node   grid.Coord
+	marked bool
+}
+
+func newSearcher(n, worker, workers int, keep bool) *searcher {
+	stride := 2*n + 1
+	s := &searcher{n: n, worker: worker, workers: workers, keep: keep, cells: make([]cell, (n+1)*stride)}
+	for i := range s.cells {
+		s.cells[i].node = grid.Coord{Q: i / stride, R: i%stride - n}
+	}
+	for i, d := range grid.Directions {
+		delta := d.Delta()
+		s.step[i] = int32(delta.Q*stride + delta.R)
+	}
+	// The untried sets share one buffer: the size-s pattern's holds at
+	// most 6(s+1) cells, since each node adds at most six.
+	buf := make([]int32, 3*n*(n+1))
+	for size := 0; size < n; size++ {
+		c := grid.NumDirections * (size + 1)
+		s.untried[size], buf = buf[:0:c], buf[c:]
+	}
+	nodes := make([]grid.Coord, 2*n)
+	s.pattern, s.leaf = nodes[:0:n], nodes[n:n:2*n]
 	return s
 }
 
-// addBatch inserts a run of keys that all hash to stripe i under one
-// lock acquisition.
-func (s *keySet) addBatch(i int, keys []config.Key128) {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	for _, k := range keys {
-		sh.t.insert(k)
-	}
-	sh.mu.Unlock()
+// run walks the whole search tree from the one-node pattern at the
+// origin.
+func (s *searcher) run() {
+	origin := int32(s.n)
+	s.cells[origin].marked = true
+	s.untried[0] = append(s.untried[0][:0], origin)
+	s.extend(0, s.untried[0])
 }
 
-// keyBatch is one worker's per-stripe candidate buffer.
-type keyBatch struct {
-	buf [keyShardCount][]config.Key128
-}
-
-const keyBatchSize = 256
-
-func (b *keyBatch) add(set *keySet, k config.Key128) {
-	i := keyShardOf(k)
-	if b.buf[i] == nil {
-		b.buf[i] = make([]config.Key128, 0, keyBatchSize)
-	}
-	b.buf[i] = append(b.buf[i], k)
-	if len(b.buf[i]) == keyBatchSize {
-		set.addBatch(i, b.buf[i])
-		b.buf[i] = b.buf[i][:0]
-	}
-}
-
-func (b *keyBatch) flush(set *keySet) {
-	for i, keys := range b.buf {
-		if len(keys) > 0 {
-			set.addBatch(i, keys)
-			b.buf[i] = b.buf[i][:0]
-		}
-	}
-}
-
-// drain extracts every key into one slice (unsorted) and releases the
-// shard tables. Each shard writes its own precomputed region, so the
-// extraction parallelizes without a merge step.
-func (s *keySet) drain() []config.Key128 {
-	var offsets [keyShardCount + 1]int
-	for i := range s.shards {
-		offsets[i+1] = offsets[i] + s.shards[i].t.n
-	}
-	out := make([]config.Key128, offsets[keyShardCount])
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.shards[i].t.appendKeys(out[offsets[i]:offsets[i]:offsets[i+1]])
-			s.shards[i].t = nil
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
-// growKeys extends every parent key by one node, deduplicating into a
-// fresh key set, and returns the child generation. Workers split the
-// parent slice into contiguous chunks over the striped set; insertion
-// order differs across runs but the resulting set — and therefore the
-// sorted output — does not. Single-worker growth (and any frontier too
-// small to be worth fanning out) runs lock-free on one table.
-func growKeys(parents []config.Key128, workers int, stats *Stats) []config.Key128 {
-	if workers == 1 || len(parents) < 4096 {
-		return growKeysSerial(parents, stats)
-	}
-	set := newKeySet(len(parents) * 4)
-	if workers > len(parents) {
-		workers = len(parents)
-	}
-	chunk := (len(parents) + workers - 1) / workers
-	var candidates atomic.Int64
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(parents); lo += chunk {
-		hi := min(lo+chunk, len(parents))
-		wg.Add(1)
-		go func(part []config.Key128) {
-			defer wg.Done()
-			var scr growScratch
-			var batch keyBatch
-			var err error
-			local := int64(0)
-			for _, pk := range part {
-				scr.base, err = config.AppendKey128Nodes(scr.base[:0], pk)
-				if err != nil {
-					panic("enumerate: corrupt frontier key: " + err.Error())
-				}
-				for _, v := range scr.base {
-					for _, nb := range v.Neighbors() {
-						if containsSorted(scr.base, nb) {
-							continue
-						}
-						local++
-						batch.add(set, childKey(scr.base, nb))
-					}
-				}
-			}
-			batch.flush(set)
-			candidates.Add(local)
-		}(parents[lo:hi])
-	}
-	wg.Wait()
-	stats.Candidates += candidates.Load()
-	return set.drain()
-}
-
-// growKeysSerial is the lock-free single-worker growth step: one flat
-// table, candidates probed directly.
-func growKeysSerial(parents []config.Key128, stats *Stats) []config.Key128 {
-	t := newKeyTable(len(parents) * 4)
-	var scr growScratch
-	var err error
-	local := int64(0)
-	for _, pk := range parents {
-		scr.base, err = config.AppendKey128Nodes(scr.base[:0], pk)
-		if err != nil {
-			panic("enumerate: corrupt frontier key: " + err.Error())
-		}
-		for _, v := range scr.base {
-			for _, nb := range v.Neighbors() {
-				if containsSorted(scr.base, nb) {
-					continue
-				}
-				local++
-				t.insert(childKey(scr.base, nb))
+// extend tries each cell of untried, in turn, as the next node of the
+// size-size pattern. A tried cell stays marked for the later siblings'
+// subtrees, which is what makes every pattern come out once; the cells
+// a node adds to the untried set are unmarked when its subtree is done.
+func (s *searcher) extend(size int, untried []int32) {
+	if size+1 == s.n {
+		s.sizes[s.n] += int64(len(untried))
+		if s.keep {
+			for _, c := range untried {
+				s.leaf = mergeInsert(s.leaf[:0], s.pattern, s.cells[c].node)
+				key, _ := config.Key128Nodes(s.leaf) // exact: spread ≤ n − 1
+				s.keys = append(s.keys, key)
 			}
 		}
-	}
-	stats.Candidates += local
-	return t.appendKeys(make([]config.Key128, 0, t.n))
-}
-
-// childKey keys the pattern base ∪ {v} directly from the sorted parent
-// nodes — the candidate is never materialized as a node list. base must
-// be sorted ascending, v must not be in base, and the child must fit
-// the exact envelope (guaranteed for connected children of at most
-// MaxKeyN nodes: the spread is at most n − 1 ≤ 13). This fusion of
-// mergeInsert + config.Key128Nodes is the growth loop's hottest path.
-func childKey(base []grid.Coord, v grid.Coord) config.Key128 {
-	a := base[0]
-	vFirst := v.Q < a.Q || (v.Q == a.Q && v.R < a.R)
-	if vFirst {
-		a = v
-	}
-	var key config.Key128
-	key.Lo = uint64(len(base) + 1)
-	rest := base
-	if !vFirst {
-		rest = base[1:] // base[0] is the anchor: its zero delta is implicit
-	}
-	inserted := vFirst
-	for _, w := range rest {
-		if !inserted && (v.Q < w.Q || (v.Q == w.Q && v.R < w.R)) {
-			key.Hi = key.Hi<<9 | key.Lo>>55
-			key.Lo = key.Lo<<9 | uint64(v.Q-a.Q)<<5 | uint64(v.R-a.R+15)
-			inserted = true
-		}
-		key.Hi = key.Hi<<9 | key.Lo>>55
-		key.Lo = key.Lo<<9 | uint64(w.Q-a.Q)<<5 | uint64(w.R-a.R+15)
-	}
-	if !inserted {
-		key.Hi = key.Hi<<9 | key.Lo>>55
-		key.Lo = key.Lo<<9 | uint64(v.Q-a.Q)<<5 | uint64(v.R-a.R+15)
-	}
-	return key
-}
-
-// containsSorted reports membership in an ascending node list, cutting
-// the scan at the first node past v.
-func containsSorted(nodes []grid.Coord, v grid.Coord) bool {
-	for _, w := range nodes {
-		if w.Q > v.Q || (w.Q == v.Q && w.R >= v.R) {
-			return w == v
-		}
-	}
-	return false
-}
-
-// parallelSortKeys sorts keys ascending with a parallel chunk merge
-// sort: contiguous chunks sort concurrently, then pairs of sorted runs
-// merge concurrently per round, ping-ponging through one auxiliary
-// buffer. Small inputs fall through to a plain sort.
-func parallelSortKeys(keys []config.Key128, workers int) {
-	const minChunk = 1 << 13
-	if workers > len(keys)/minChunk {
-		workers = len(keys) / minChunk
-	}
-	if workers <= 1 {
-		slices.SortFunc(keys, config.Key128.Compare)
 		return
 	}
-	bounds := make([]int, 0, workers+1)
-	chunk := (len(keys) + workers - 1) / workers
-	for lo := 0; lo < len(keys); lo += chunk {
-		bounds = append(bounds, lo)
+	for i, c := range untried {
+		if size+1 == splitDepth && s.workers > 1 {
+			k := s.dealt
+			s.dealt++
+			if k%s.workers != s.worker {
+				continue
+			}
+		}
+		if size+1 >= splitDepth || s.worker == 0 {
+			s.sizes[size+1]++
+		}
+		at := s.push(s.cells[c].node)
+		next := append(s.untried[size+1][:0], untried[i+1:]...)
+		kept := len(next)
+		for _, d := range s.step {
+			if nb := c + d; nb >= int32(s.n) && !s.cells[nb].marked {
+				s.cells[nb].marked = true
+				next = append(next, nb)
+			}
+		}
+		s.untried[size+1] = next
+		s.extend(size+1, next)
+		for _, nb := range next[kept:] {
+			s.cells[nb].marked = false
+		}
+		s.pattern = slices.Delete(s.pattern, at, at+1)
 	}
-	bounds = append(bounds, len(keys))
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(bounds); i++ {
-		wg.Add(1)
-		go func(part []config.Key128) {
-			defer wg.Done()
-			slices.SortFunc(part, config.Key128.Compare)
-		}(keys[bounds[i]:bounds[i+1]])
+}
+
+// push inserts v into the sorted pattern and returns its position.
+func (s *searcher) push(v grid.Coord) int {
+	at, _ := slices.BinarySearchFunc(s.pattern, v, grid.Coord.Compare)
+	s.pattern = slices.Insert(s.pattern, at, v)
+	return at
+}
+
+// mergeRuns merges the ascending runs keys[bounds[i]:bounds[i+1]]
+// into one ascending list: pairs of runs merge concurrently per round,
+// ping-ponging through one auxiliary buffer.
+func mergeRuns(keys []config.Key128, bounds []int) {
+	if len(bounds) <= 2 {
+		return
 	}
-	wg.Wait()
 	aux := make([]config.Key128, len(keys))
 	src, dst := keys, aux
 	for len(bounds) > 2 {
@@ -459,9 +296,7 @@ func parallelSortKeys(keys []config.Key128, workers int) {
 		src, dst = dst, src
 		bounds = next
 	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
+	copy(keys, src)
 }
 
 // mergeKeys merges two sorted runs into out (len(out) = len(a)+len(b)).
@@ -504,13 +339,19 @@ func Each(n int, visit func(config.Config) bool) int {
 }
 
 // materializeKeys decodes a sorted key list into configurations
-// backed by one contiguous node array — two allocations total instead
-// of one per pattern.
+// backed by node arrays of materializeChunk patterns each — a few
+// allocations instead of one per pattern. One array for the whole
+// list would need a contiguous block (58 MB at n = 10) that a heap
+// fragmented by earlier sweeps cannot offer, so the process would map
+// fresh memory for it.
 func materializeKeys(keys []config.Key128, n int) []config.Config {
-	backing := make([]grid.Coord, 0, len(keys)*n)
+	var backing []grid.Coord
 	out := make([]config.Config, len(keys))
 	var err error
 	for i, k := range keys {
+		if i%materializeChunk == 0 {
+			backing = make([]grid.Coord, 0, min(materializeChunk, len(keys)-i)*n)
+		}
 		lo := len(backing)
 		backing, err = config.AppendKey128Nodes(backing, k)
 		if err != nil {
@@ -520,6 +361,10 @@ func materializeKeys(keys []config.Key128, n int) []config.Config {
 	}
 	return out
 }
+
+// materializeChunk is the number of patterns one node array of
+// materializeKeys holds.
+const materializeChunk = 1 << 14
 
 func normWorkers(workers int) int {
 	if workers <= 0 {

@@ -1,20 +1,20 @@
 package enumerate
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/grid"
 	"repro/internal/oracle"
 )
 
 // TestKeyNativeMatchesLegacy is the source-order contract of the
-// key-native engine: for every size the paper's workloads sweep, the
-// key-native path must reproduce the string-keyed reference
-// enumeration (internal/oracle) byte-identically — same patterns, same
-// canonical order — at every worker count. "key/v1" order and config.Compare order are the
-// same order; this is the test that pins it.
+// enumeration: for every size the paper's workloads sweep, the search
+// must reproduce the string-keyed reference enumeration
+// (internal/oracle) byte-identically — same patterns, same canonical
+// order — at every worker count, through sizes below, at and above
+// splitDepth, where the parallel search deals its subtrees out.
+// "key/v1" order and config.Compare order are the same order; this is
+// the test that pins it.
 func TestKeyNativeMatchesLegacy(t *testing.T) {
 	top := 8
 	if testing.Short() {
@@ -22,7 +22,7 @@ func TestKeyNativeMatchesLegacy(t *testing.T) {
 	}
 	for n := 0; n <= top; n++ {
 		want := oracle.Connected(n)
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range []int{1, 2, 3, 4, 8} {
 			got, _ := ConnectedStats(n, workers)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d workers=%d: %d patterns, reference %d", n, workers, len(got), len(want))
@@ -102,48 +102,6 @@ func TestFromKeyRoundTripExhaustive(t *testing.T) {
 	}
 }
 
-// TestChildKeyMatchesRekeying checks the fused hot path against the
-// two-step reference: keying parent ∪ {v} via childKey equals
-// mergeInsert + Key128Nodes for random parents and every admissible
-// extension.
-func TestChildKeyMatchesRekeying(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	var scr growScratch
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(9)
-		patterns := Connected(n)
-		base := patterns[rng.Intn(len(patterns))].Nodes()
-		for _, v := range base {
-			for _, nb := range v.Neighbors() {
-				if containsSorted(base, nb) {
-					continue
-				}
-				scr.merged = mergeInsert(scr.merged[:0], base, nb)
-				want, ok := config.Key128Nodes(scr.merged)
-				if !ok {
-					t.Fatal("reference keying fell out of the envelope")
-				}
-				if got := childKey(base, nb); got != want {
-					t.Fatalf("childKey(%v, %v) = %#x:%#x, want %#x:%#x",
-						base, nb, got.Hi, got.Lo, want.Hi, want.Lo)
-				}
-			}
-		}
-	}
-}
-
-func TestContainsSortedAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 500; trial++ {
-		c := Connected(1 + rng.Intn(8))
-		nodes := c[rng.Intn(len(c))].Nodes()
-		v := grid.Coord{Q: rng.Intn(9) - 4, R: rng.Intn(9) - 4}
-		if containsSorted(nodes, v) != containsCoord(nodes, v) {
-			t.Fatalf("containsSorted disagrees on %v in %v", v, nodes)
-		}
-	}
-}
-
 // TestEachStreamsConnected: Each is the FSYNC analogue of EachWithin —
 // canonical order, count contract, nil visit, early stop.
 func TestEachStreamsConnected(t *testing.T) {
@@ -169,9 +127,10 @@ func TestEachStreamsConnected(t *testing.T) {
 	}
 }
 
-// TestKeysStats pins the observability the daemons surface: final size,
-// peak frontier, the distinct-pattern total across generations, and a
-// dedup hit rate strictly inside (0, 1).
+// TestKeysStats pins the observability the daemons surface: final
+// size, the largest size class, the distinct-pattern total across
+// sizes, and no duplicate candidates — identical at every worker
+// count.
 func TestKeysStats(t *testing.T) {
 	keys, stats := KeysStats(7, 1)
 	if stats.Patterns != len(keys) || stats.Patterns != KnownCounts[7] {
@@ -187,15 +146,38 @@ func TestKeysStats(t *testing.T) {
 	if stats.PeakFrontier != KnownCounts[7] {
 		t.Fatalf("stats.PeakFrontier = %d, want %d", stats.PeakFrontier, KnownCounts[7])
 	}
-	if r := stats.DedupHitRate(); r <= 0 || r >= 1 {
-		t.Fatalf("dedup hit rate %f outside (0,1)", r)
+	if stats.Candidates != stats.Unique-1 {
+		t.Fatalf("candidates %d, want unique − 1 = %d", stats.Candidates, stats.Unique-1)
 	}
-	if stats.Candidates <= stats.Unique {
-		t.Fatalf("candidates %d not above unique %d", stats.Candidates, stats.Unique)
+	if r := stats.DedupHitRate(); r != 0 {
+		t.Fatalf("dedup hit rate %f, want 0", r)
 	}
-	// The run's key list must not depend on stats being collected.
-	if _, stats4 := KeysStats(7, 4); stats4.Candidates != stats.Candidates || stats4.Unique != stats.Unique {
-		t.Fatalf("worker count changed the enumeration's shape: %+v vs %+v", stats4, stats)
+	for _, n := range []int{5, 7, 9} {
+		_, base := KeysStats(n, 1)
+		for _, workers := range []int{2, 3, 4, 8} {
+			_, got := KeysStats(n, workers)
+			got.DurationUS = base.DurationUS
+			if got != base {
+				t.Fatalf("n=%d workers=%d: stats %+v, serial %+v", n, workers, got, base)
+			}
+		}
+	}
+}
+
+// TestKeysCountsPinned pins the size-n key count to KnownCounts
+// through n = 11 on one worker and on four, where the subtrees are
+// dealt out.
+func TestKeysCountsPinned(t *testing.T) {
+	top := 11
+	if testing.Short() {
+		top = 9
+	}
+	for n := 1; n <= top; n++ {
+		for _, workers := range []int{1, 4} {
+			if keys, _ := KeysStats(n, workers); len(keys) != KnownCounts[n] {
+				t.Errorf("n=%d workers=%d: %d keys, want %d", n, workers, len(keys), KnownCounts[n])
+			}
+		}
 	}
 }
 

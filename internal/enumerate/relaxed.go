@@ -74,7 +74,7 @@ func EachWithin(n, visRange int, visit func(config.Config) bool) int {
 					continue
 				}
 				count++
-				if visit != nil && !visit(config.New(scr.merged...).Normalize()) {
+				if visit != nil && !visit(config.FromSortedNodes(scr.merged).Normalize()) {
 					return count
 				}
 			}
@@ -95,7 +95,7 @@ func growWithinInto(c config.Config, visRange int, seen *config.PatternSet, dst 
 			}
 			scr.merged = mergeInsert(scr.merged[:0], scr.base, nb)
 			if seen.AddNodes(scr.merged) {
-				dst = append(dst, config.New(scr.merged...).Normalize())
+				dst = append(dst, config.FromSortedNodes(scr.merged).Normalize())
 			}
 		}
 	}

@@ -378,7 +378,7 @@ func TestAdversaryNoHeuristicsIgnored(t *testing.T) {
 // TestAdversaryModeWorkerDeterminism runs the exact-adversary sweep
 // over the full n = 6 space sequentially and with a worker pool
 // sharing the concurrent solver memo (this is also the test that
-// hammers the sharded memo under -race in CI): the reports must agree
+// hammers the shared memo under -race in CI): the reports must agree
 // on everything except the memo's lookup tallies, which record which
 // worker reached a shared game state first.
 func TestAdversaryModeWorkerDeterminism(t *testing.T) {
