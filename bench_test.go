@@ -16,6 +16,7 @@
 //	E13 BenchmarkE13_AdversarySearch     — adversarial-schedule search
 //	E14 BenchmarkE14_N8Adversary         — the n = 8 defeasibility map
 //	E15 BenchmarkE15_N9Sweep             — the exact n = 9 FSYNC map
+//	E16 BenchmarkE16_EachWithin7         — the range-2 n = 7 enumeration
 //	E17 BenchmarkE17_DistOverhead        — distributed-sweep coordination cost
 //	E18 BenchmarkE18_VerdictService      — verdict-service hit path (O(1), 0 allocs)
 //	E20 BenchmarkE20_N10Sweep            — the full n = 10 FSYNC map
@@ -462,6 +463,19 @@ func BenchmarkE9_RelaxedConnectivity(b *testing.B) {
 		}
 		b.ReportMetric(float64(gathered), "gathered")
 		b.ReportMetric(float64(n), "sample")
+	}
+}
+
+// BenchmarkE16_EachWithin7 measures the enumeration under E16's
+// relaxed sweep: the Redelmeier search over the radius-2 neighborhood
+// streams all 2708148 visibility-connected 7-robot patterns, each on a
+// fresh node slice, to a visitor that only counts them.
+func BenchmarkE16_EachWithin7(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if got := enumerate.EachWithin(7, 2, func(config.Config) bool { return true }); got != 2708148 {
+			b.Fatalf("streamed %d patterns, want 2708148", got)
+		}
 	}
 }
 

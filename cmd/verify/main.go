@@ -164,6 +164,10 @@ Flags:
 		fmt.Fprintf(os.Stderr, "verify: -n %d is past the largest enumerable size %d\n", *n, enumerate.MaxKeyN)
 		os.Exit(2)
 	}
+	if *visRange > enumerate.MaxVisRange {
+		fmt.Fprintf(os.Stderr, "verify: -range %d is past the largest enumerable range %d\n", *visRange, enumerate.MaxVisRange)
+		os.Exit(2)
+	}
 	if *seeds < 1 {
 		fmt.Fprintln(os.Stderr, "verify: -seeds must be at least 1")
 		os.Exit(2)

@@ -87,7 +87,7 @@ func TestCompactDedupMatchesStringDedup(t *testing.T) {
 		top = 7
 	}
 	for n := 1; n <= top; n++ {
-		want := oracle.Connected(n)
+		want := oracle.Connected(n, 1)
 		got := enumerate.Connected(n)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d patterns, want %d", n, len(got), len(want))

@@ -9,8 +9,10 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/enumerate"
 	"repro/internal/sweep"
 )
 
@@ -65,7 +67,7 @@ func Register(fs *flag.FlagSet, which Set) *Flags {
 		f.Seeds = fs.Int("seeds", 1, "activation schedules per pattern (ssync robustness axis; seeds 1..M)")
 	}
 	if which&FlagRange != 0 {
-		f.VisRange = fs.Int("range", 1, "connectivity relaxation: visibility-R-connected patterns (1 = adjacency, the paper's space)")
+		f.VisRange = fs.Int("range", 1, fmt.Sprintf("connectivity relaxation: visibility-R-connected patterns (1 = adjacency, the paper's space; at most %d)", enumerate.MaxVisRange))
 	}
 	if which&FlagMaxRounds != 0 {
 		f.MaxRounds = fs.Int("max-rounds", 0, "round budget per run (0 = default)")

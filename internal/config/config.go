@@ -169,16 +169,21 @@ func (c Config) Center() (grid.Coord, bool) {
 }
 
 // Diameter returns the maximum pairwise distance between robot nodes.
+// The distance is max(|Δq|, |Δr|, |Δq+Δr|), so the diameter is the
+// largest span of q, r and q+r over the nodes, found in one pass.
 func (c Config) Diameter() int {
-	max := 0
-	for i := range c.nodes {
-		for j := i + 1; j < len(c.nodes); j++ {
-			if d := c.nodes[i].Distance(c.nodes[j]); d > max {
-				max = d
-			}
-		}
+	if len(c.nodes) == 0 {
+		return 0
 	}
-	return max
+	// Nodes are sorted by Q, so the q span is the ends' difference.
+	q := c.nodes[len(c.nodes)-1].Q - c.nodes[0].Q
+	loR, hiR := c.nodes[0].R, c.nodes[0].R
+	loS, hiS := c.nodes[0].Q+c.nodes[0].R, c.nodes[0].Q+c.nodes[0].R
+	for _, v := range c.nodes[1:] {
+		loR, hiR = min(loR, v.R), max(hiR, v.R)
+		loS, hiS = min(loS, v.Q+v.R), max(hiS, v.Q+v.R)
+	}
+	return max(q, hiR-loR, hiS-loS)
 }
 
 // Hexagon returns the gathered configuration centered at v.

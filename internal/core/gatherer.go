@@ -121,9 +121,9 @@ var overrideIndex = func() map[uint64]Move {
 // gathererMemos are the process-wide memo tables behind ComputePacked,
 // one per variant so ablations never share decisions. They fill on
 // first use and are shared across every run and sweep in the process —
-// the second sweep of a benchmark starts fully warm. (To share
-// decisions across processes of a wider pipeline, wrap with
-// core.Memoize and a caller-owned Memo.)
+// the second sweep of a benchmark starts fully warm. Like a core.Memo,
+// they live in one process: nothing carries decisions to another, so
+// each process of a sweep fleet warms its own.
 var gathererMemos = func() (ms [len(variantNames)]*memoTable) {
 	for i := range ms {
 		ms[i] = newMemoTable()

@@ -12,16 +12,17 @@
 //
 // Enumeration runs Redelmeier's algorithm (keys.go): every pattern is
 // produced exactly once, anchored at its smallest node, so no dedup
-// set is kept; a size-n pattern is keyed as a config.Key128 (exact
-// through MaxKeyN = 14 nodes), and a configuration is only rebuilt
-// from its key (config.FromKey128) when a caller visits it. The
+// set is kept. A connected size-n pattern is keyed as a config.Key128
+// (exact through MaxKeyN = 14 nodes), and a configuration is only
+// rebuilt from its key (config.FromKey128) when a caller visits it; the
 // canonical output order is ascending key order ("key/v1"), which
-// coincides with the config.Compare order. Every entry point refuses
-// sizes past MaxKeyN. The relaxed-connectivity spaces (relaxed.go),
-// whose patterns may lie past the exact key, grow one materialized
-// generation at a time instead, deduplicated by a config.PatternSet;
-// the differential reference for both is the string-keyed enumeration
-// in the test-only internal/oracle package.
+// coincides with the config.Compare order. The relaxed-connectivity
+// spaces (relaxed.go), whose patterns may lie past the exact key, run
+// the same search over a radius-R neighborhood and stream their
+// patterns in search order. Every entry point refuses sizes past
+// MaxKeyN and radii past MaxVisRange. The differential reference for
+// both spaces is the string-keyed enumeration in the test-only
+// internal/oracle package.
 package enumerate
 
 import (
@@ -58,7 +59,7 @@ func Connected(n int) []config.Config {
 // ≤ 0 = GOMAXPROCS) — the instrumented entry the sweep layer threads
 // into its metrics registries.
 func ConnectedStats(n, workers int) ([]config.Config, Stats) {
-	checkSize(n)
+	checkSize(n, 1)
 	if n == 0 {
 		return nil, Stats{}
 	}
@@ -71,30 +72,12 @@ func ConnectedStats(n, workers int) ([]config.Config, Stats) {
 // size-n pattern and keys none. It still enumerates — no closed form
 // is known.
 func Count(n int) int {
-	checkSize(n)
+	checkSize(n, 1)
 	if n == 0 {
 		return 0
 	}
-	_, stats := search(n, normWorkers(0), false)
+	_, stats := search(n, 1, normWorkers(0), false)
 	return stats.Patterns
-}
-
-// growScratch holds the per-goroutine buffers of the relaxed growth
-// step.
-type growScratch struct {
-	base   []grid.Coord // parent pattern's nodes
-	merged []grid.Coord // parent nodes with the candidate inserted, sorted
-}
-
-// containsCoord reports membership in a small node list (linear scan —
-// parents have at most a handful of nodes).
-func containsCoord(nodes []grid.Coord, v grid.Coord) bool {
-	for _, w := range nodes {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeInsert appends sorted∪{v} to dst in sorted order; v must not be

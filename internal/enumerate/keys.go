@@ -10,14 +10,17 @@ import (
 	"repro/internal/grid"
 )
 
-// This file is the connected enumeration engine: Redelmeier's
-// algorithm (D. H. Redelmeier, "Counting polyominoes: yet another
-// attack", Discrete Math. 36, 1981) on the triangular grid, whose node
-// adjacency is hexagonal cell adjacency. It produces every fixed
-// polyhex exactly once, so no dedup set is kept: a pattern is anchored
-// at its (Q, R)-smallest node, the origin, and a node may join only if
+// This file is the enumeration engine: Redelmeier's algorithm (D. H.
+// Redelmeier, "Counting polyominoes: yet another attack", Discrete
+// Math. 36, 1981) on the triangular grid, where two nodes are
+// neighbors when they lie within the connectivity radius R of each
+// other. At R = 1 that is node adjacency, which is hexagonal cell
+// adjacency, and the search yields the fixed polyhexes; at R > 1 it
+// yields the range-R visibility-connected patterns. Every pattern comes
+// out exactly once, so no dedup set is kept: a pattern is anchored at
+// its (Q, R)-smallest node, the origin, and a node may join only if
 // Q > 0, or Q = 0 and R ≥ 0, so every pattern comes out normalized. A
-// size-n pattern is keyed from its sorted nodes with
+// size-n connected pattern is keyed from its sorted nodes with
 // config.Key128Nodes, and a configuration is rebuilt from its key
 // (config.FromKey128) only when a caller visits it. The canonical
 // output order is ascending key order — order "key/v1" in
@@ -33,6 +36,12 @@ import (
 // Key128-encodable (spread ≤ n−1). Every entry point refuses larger
 // sizes (checkSize): they are far past any tractable enumeration.
 const MaxKeyN = config.MaxKeyNodes
+
+// MaxVisRange is the largest connectivity radius the enumeration
+// covers, the largest any experiment sweeps: within(5, 3) already holds
+// 243,474 patterns. Every entry point refuses larger radii (checkSize),
+// whose cell grid and pattern counts grow past any tractable sweep.
+const MaxVisRange = 3
 
 // Stats describes one enumeration run — the observability the sweep
 // daemons surface (patterns/sec, dedup hit rate, peak frontier size).
@@ -67,27 +76,21 @@ func (s Stats) PatternsPerSec() float64 {
 	return float64(s.Patterns) / (float64(s.DurationUS) / 1e6)
 }
 
-// Keys returns the canonical key list of every connected n-node
-// pattern up to translation: ascending config.Key128 order ("key/v1"),
-// which equals the config.Compare order Connected emits. The search
-// fans out over GOMAXPROCS workers. n must be at most MaxKeyN.
-func Keys(n int) []config.Key128 {
-	keys, _ := KeysStats(n, 0)
-	return keys
-}
-
-// KeysStats is Keys with explicit worker-pool sizing (workers ≤ 0 =
-// GOMAXPROCS) and the run's Stats. The key list and the Stats are
-// identical — and the keys identically ordered — at every worker
-// count.
+// KeysStats returns the canonical key list of every connected n-node
+// pattern up to translation — ascending config.Key128 order ("key/v1"),
+// which equals the config.Compare order Connected emits — and the
+// run's Stats. The search fans out over workers goroutines (≤ 0 =
+// GOMAXPROCS); the key list and the Stats are identical, and the keys
+// identically ordered, at every worker count. n must be at most
+// MaxKeyN.
 func KeysStats(n, workers int) ([]config.Key128, Stats) {
-	checkSize(n)
+	checkSize(n, 1)
 	if n == 0 {
 		return nil, Stats{}
 	}
 	workers = normWorkers(workers)
 	start := time.Now()
-	keys, stats := search(n, workers, true)
+	keys, stats := search(n, 1, workers, true)
 	stats.DurationUS = time.Since(start).Microseconds()
 	return keys, stats
 }
@@ -99,17 +102,18 @@ func KeysStats(n, workers int) ([]config.Key128, Stats) {
 // no larger than this run on one worker.
 const splitDepth = 6
 
-// search runs Redelmeier's algorithm for size n on workers goroutines
-// and returns the size-n keys in ascending order (none when keep is
-// false) and the run's Stats without its duration. Each worker sorts
-// its own keys; the sorted runs then merge.
-func search(n, workers int, keep bool) ([]config.Key128, Stats) {
+// search runs Redelmeier's algorithm for size n and radius visRange on
+// workers goroutines and returns the size-n keys in ascending order
+// (none when keep is false) and the run's Stats without its duration.
+// Each worker sorts its own keys; the sorted runs then merge. Only the
+// connected space (visRange = 1) is keyed.
+func search(n, visRange, workers int, keep bool) ([]config.Key128, Stats) {
 	if n <= splitDepth {
 		workers = 1
 	}
 	ss := make([]*searcher, workers)
 	for w := range ss {
-		ss[w] = newSearcher(n, w, workers, keep)
+		ss[w] = newSearcher(n, visRange, w, workers, keep)
 		if keep && n < len(KnownCounts) {
 			// A worker's share, with slack for the uneven deal when
 			// there are several: the largest share runs up to 8% over
@@ -154,17 +158,22 @@ func search(n, workers int, keep bool) ([]config.Key128, Stats) {
 }
 
 // searcher is one worker's Redelmeier state. A cell is the index
-// q·stride + r + n of the node (q, r) on the grid q ∈ [0, n],
-// r ∈ [−n, n], which holds every node of a size-n pattern anchored at
-// the origin and every neighbor of one. Index order is (Q, R) order,
-// and the indices below n are exactly the half-plane no node may join.
+// q·stride + r + R·n of the node (q, r) on the grid q ∈ [0, R·n],
+// r ∈ [−R·n, R·n], which holds every node of a size-n pattern anchored
+// at the origin and every neighbor of one. Index order is (Q, R)
+// order, and the indices below R·n are exactly the half-plane no node
+// may join.
 type searcher struct {
 	n               int
 	worker, workers int
-	keep            bool
+	keep, stopped   bool
+	origin          int32 // the origin's cell index, R·n
+	// visit, when set, receives every size-n pattern in search order
+	// in place of keying; returning false stops the walk.
+	visit func(config.Config) bool
 
 	cells []cell
-	step  [grid.NumDirections]int32
+	step  []int32 // the index offsets of a node's neighbors
 	// untried[s] is the untried set of the size-s pattern, one reused
 	// buffer per size.
 	untried [MaxKeyN][]int32
@@ -183,21 +192,35 @@ type cell struct {
 	marked bool
 }
 
-func newSearcher(n, worker, workers int, keep bool) *searcher {
-	stride := 2*n + 1
-	s := &searcher{n: n, worker: worker, workers: workers, keep: keep, cells: make([]cell, (n+1)*stride)}
-	for i := range s.cells {
-		s.cells[i].node = grid.Coord{Q: i / stride, R: i%stride - n}
+// neighborhoods[R] is grid.Origin.Disk(R) without the origin: at
+// R = 1 the six neighbors in grid.Directions order.
+var neighborhoods = func() (nbs [MaxVisRange + 1][]grid.Coord) {
+	for r := 1; r <= MaxVisRange; r++ {
+		nbs[r] = grid.Origin.Disk(r)[1:]
 	}
-	for i, d := range grid.Directions {
-		delta := d.Delta()
+	return nbs
+}()
+
+func newSearcher(n, visRange, worker, workers int, keep bool) *searcher {
+	reach := visRange * n
+	stride := 2*reach + 1
+	s := &searcher{n: n, worker: worker, workers: workers, keep: keep,
+		cells: make([]cell, (reach+1)*stride), origin: int32(reach)}
+	for i := range s.cells {
+		s.cells[i].node = grid.Coord{Q: i / stride, R: i%stride - reach}
+	}
+	// One buffer holds the neighbor offsets and the untried sets: the
+	// size-s pattern's set holds at most steps·(s+1) cells, since each
+	// node adds at most steps.
+	nbs := neighborhoods[visRange]
+	steps := len(nbs)
+	buf := make([]int32, steps+steps*n*(n+1)/2)
+	s.step, buf = buf[:steps:steps], buf[steps:]
+	for i, delta := range nbs {
 		s.step[i] = int32(delta.Q*stride + delta.R)
 	}
-	// The untried sets share one buffer: the size-s pattern's holds at
-	// most 6(s+1) cells, since each node adds at most six.
-	buf := make([]int32, 3*n*(n+1))
 	for size := 0; size < n; size++ {
-		c := grid.NumDirections * (size + 1)
+		c := steps * (size + 1)
 		s.untried[size], buf = buf[:0:c], buf[c:]
 	}
 	nodes := make([]grid.Coord, 2*n)
@@ -208,9 +231,8 @@ func newSearcher(n, worker, workers int, keep bool) *searcher {
 // run walks the whole search tree from the one-node pattern at the
 // origin.
 func (s *searcher) run() {
-	origin := int32(s.n)
-	s.cells[origin].marked = true
-	s.untried[0] = append(s.untried[0][:0], origin)
+	s.cells[s.origin].marked = true
+	s.untried[0] = append(s.untried[0][:0], s.origin)
 	s.extend(0, s.untried[0])
 }
 
@@ -220,6 +242,10 @@ func (s *searcher) run() {
 // a node adds to the untried set are unmarked when its subtree is done.
 func (s *searcher) extend(size int, untried []int32) {
 	if size+1 == s.n {
+		if s.visit != nil {
+			s.visitLeaves(untried)
+			return
+		}
 		s.sizes[s.n] += int64(len(untried))
 		if s.keep {
 			for _, c := range untried {
@@ -245,17 +271,34 @@ func (s *searcher) extend(size int, untried []int32) {
 		next := append(s.untried[size+1][:0], untried[i+1:]...)
 		kept := len(next)
 		for _, d := range s.step {
-			if nb := c + d; nb >= int32(s.n) && !s.cells[nb].marked {
+			if nb := c + d; nb >= s.origin && !s.cells[nb].marked {
 				s.cells[nb].marked = true
 				next = append(next, nb)
 			}
 		}
 		s.untried[size+1] = next
 		s.extend(size+1, next)
+		if s.stopped {
+			return
+		}
 		for _, nb := range next[kept:] {
 			s.cells[nb].marked = false
 		}
 		s.pattern = slices.Delete(s.pattern, at, at+1)
+	}
+}
+
+// visitLeaves hands each size-n pattern the untried cells complete to
+// s.visit, each on a fresh node slice the caller may keep, and counts
+// it; a false return stops the walk.
+func (s *searcher) visitLeaves(untried []int32) {
+	for _, c := range untried {
+		s.sizes[s.n]++
+		nodes := mergeInsert(make([]grid.Coord, 0, s.n), s.pattern, s.cells[c].node)
+		if !s.visit(config.FromSortedNodes(nodes)) {
+			s.stopped = true
+			return
+		}
 	}
 }
 
@@ -316,28 +359,6 @@ func mergeKeys(out, a, b []config.Key128) {
 	copy(out[w:], b)
 }
 
-// Each streams every connected n-node pattern to visit in canonical
-// order ("key/v1" = config.Compare order, exactly Connected's), without
-// retaining the configurations: only the packed key list is held, and
-// each configuration is decoded at visit time. It returns the pattern
-// count; visit may be nil to count only, and may return false to stop
-// early. It is the adjacency-connected analogue of EachWithin.
-func Each(n int, visit func(config.Config) bool) int {
-	keys := Keys(n)
-	if visit != nil {
-		for _, k := range keys {
-			c, err := config.FromKey128(k)
-			if err != nil {
-				panic("enumerate: corrupt pattern key: " + err.Error())
-			}
-			if !visit(c) {
-				break
-			}
-		}
-	}
-	return len(keys)
-}
-
 // materializeKeys decodes a sorted key list into configurations
 // backed by node arrays of materializeChunk patterns each — a few
 // allocations instead of one per pattern. One array for the whole
@@ -373,14 +394,18 @@ func normWorkers(workers int) int {
 	return workers
 }
 
-// checkSize is the one size guard every public entry point shares, so
-// Connected, ConnectedStats, Count, Keys, and Each agree on negative
-// input and on sizes past MaxKeyN.
-func checkSize(n int) {
+// checkSize is the one argument guard every public entry point
+// shares, so Connected, ConnectedStats, KeysStats, Count and EachWithin
+// agree on negative sizes, on sizes past MaxKeyN and on radii outside
+// [1, MaxVisRange].
+func checkSize(n, visRange int) {
 	if n < 0 {
 		panic("enumerate: negative size")
 	}
 	if n > MaxKeyN {
 		panic("enumerate: size past the exact key envelope")
+	}
+	if visRange < 1 || visRange > MaxVisRange {
+		panic("enumerate: connectivity range outside [1, MaxVisRange]")
 	}
 }

@@ -21,7 +21,7 @@ func TestKeyNativeMatchesLegacy(t *testing.T) {
 		top = 7
 	}
 	for n := 0; n <= top; n++ {
-		want := oracle.Connected(n)
+		want := oracle.Connected(n, 1)
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			got, _ := ConnectedStats(n, workers)
 			if len(got) != len(want) {
@@ -45,8 +45,8 @@ func TestKeyNativeMatchesLegacy(t *testing.T) {
 // reference output.
 func TestKeysSortedCanonically(t *testing.T) {
 	for n := 1; n <= 7; n++ {
-		keys := Keys(n)
-		want := oracle.Connected(n)
+		keys, _ := KeysStats(n, 1)
+		want := oracle.Connected(n, 1)
 		if len(keys) != len(want) {
 			t.Fatalf("n=%d: %d keys, want %d", n, len(keys), len(want))
 		}
@@ -75,7 +75,7 @@ func TestFromKeyRoundTripExhaustive(t *testing.T) {
 		top = 7
 	}
 	for n := 1; n <= top; n++ {
-		for _, c := range oracle.Connected(n) {
+		for _, c := range oracle.Connected(n, 1) {
 			k128, ok := c.Key128()
 			if !ok {
 				t.Fatalf("n=%d: pattern %s not Key128-exact", n, c.Key())
@@ -102,28 +102,42 @@ func TestFromKeyRoundTripExhaustive(t *testing.T) {
 	}
 }
 
-// TestEachStreamsConnected: Each is the FSYNC analogue of EachWithin —
-// canonical order, count contract, nil visit, early stop.
+// TestEachStreamsConnected: EachWithin at radius 1 streams the
+// Connected patterns — each once, normalized, on a node slice of its
+// own — and keeps the count contract, the nil-visit count and the
+// early stop.
 func TestEachStreamsConnected(t *testing.T) {
-	want := Connected(7)
-	i := 0
-	total := Each(7, func(c config.Config) bool {
-		if c.Compare(want[i]) != 0 {
-			t.Fatalf("pattern %d: %s, want %s", i, c.Key(), want[i].Key())
+	want := map[config.Key128]bool{}
+	for _, c := range Connected(7) {
+		k, _ := c.Key128()
+		want[k] = true
+	}
+	seen := map[config.Key128]config.Config{}
+	total := EachWithin(7, 1, func(c config.Config) bool {
+		k, ok := c.Key128()
+		if !ok || !want[k] {
+			t.Fatalf("pattern %s is not a connected 7-node pattern", c.Key())
 		}
-		i++
+		if _, dup := seen[k]; dup {
+			t.Fatalf("pattern %s streamed twice", c.Key())
+		}
+		seen[k] = c
 		return true
 	})
-	if i != len(want) || total != len(want) {
-		t.Fatalf("visited %d, returned %d, want %d", i, total, len(want))
+	if len(seen) != len(want) || total != len(want) {
+		t.Fatalf("visited %d, returned %d, want %d", len(seen), total, len(want))
 	}
-	if got := Each(7, nil); got != len(want) {
+	for k, c := range seen { // the retained configurations are intact
+		if got, _ := c.Key128(); got != k {
+			t.Fatalf("retained pattern %s was overwritten", c.Key())
+		}
+	}
+	if got := EachWithin(7, 1, nil); got != len(want) {
 		t.Fatalf("nil-visit count %d, want %d", got, len(want))
 	}
-	seen := 0
-	Each(7, func(config.Config) bool { seen++; return seen < 10 })
-	if seen != 10 {
-		t.Fatalf("early stop visited %d, want 10", seen)
+	stopped := 0
+	if got := EachWithin(7, 1, func(config.Config) bool { stopped++; return stopped < 10 }); got != 10 || stopped != 10 {
+		t.Fatalf("early stop visited %d and returned %d, want 10", stopped, got)
 	}
 }
 
@@ -182,15 +196,15 @@ func TestKeysCountsPinned(t *testing.T) {
 }
 
 // TestNegativeSizePanics pins the one shared guard: every entry point
-// rejects a negative size, and a size past MaxKeyN, the same way.
+// rejects a negative size, and a size past MaxKeyN, the same way, and
+// EachWithin a radius outside [1, MaxVisRange].
 func TestNegativeSizePanics(t *testing.T) {
 	calls := map[string]func(n int){
 		"Connected":      func(n int) { Connected(n) },
 		"ConnectedStats": func(n int) { ConnectedStats(n, 2) },
 		"Count":          func(n int) { Count(n) },
-		"Keys":           func(n int) { Keys(n) },
 		"KeysStats":      func(n int) { KeysStats(n, 2) },
-		"Each":           func(n int) { Each(n, nil) },
+		"EachWithin":     func(n int) { EachWithin(n, 2, nil) },
 	}
 	for _, tc := range []struct {
 		n    int
@@ -209,5 +223,15 @@ func TestNegativeSizePanics(t *testing.T) {
 				call(tc.n)
 			}()
 		}
+	}
+	for _, r := range []int{0, MaxVisRange + 1, 1000000} {
+		func() {
+			defer func() {
+				if got := recover(); got != "enumerate: connectivity range outside [1, MaxVisRange]" {
+					t.Errorf("EachWithin(3, %d) panicked with %v", r, got)
+				}
+			}()
+			EachWithin(3, r, nil)
+		}()
 	}
 }

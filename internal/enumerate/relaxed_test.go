@@ -6,36 +6,77 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/grid"
+	"repro/internal/oracle"
 )
 
-func TestConnectedWithin1MatchesConnected(t *testing.T) {
-	for n := 1; n <= 5; n++ {
-		a := Connected(n)
-		b := ConnectedWithin(n, 1)
-		if len(a) != len(b) {
-			t.Fatalf("n=%d: ConnectedWithin(1) gave %d, Connected gave %d", n, len(b), len(a))
+// within collects the within(n, visRange) stream, failing on a
+// duplicate or a pattern that is not normalized.
+func within(t testing.TB, n, visRange int) map[string]config.Config {
+	t.Helper()
+	out := map[string]config.Config{}
+	EachWithin(n, visRange, func(c config.Config) bool {
+		k := c.Key()
+		if _, dup := out[k]; dup {
+			t.Fatalf("within(%d, %d): duplicate pattern %s", n, visRange, k)
 		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				t.Fatalf("n=%d: enumeration mismatch at %d", n, i)
+		if !c.Equal(c.Normalize()) {
+			t.Fatalf("within(%d, %d): non-normalized pattern %s", n, visRange, k)
+		}
+		out[k] = c
+		return true
+	})
+	return out
+}
+
+// TestConnectedWithin1MatchesConnected: at radius 1 the relaxed space
+// is the connected space, pattern for pattern.
+func TestConnectedWithin1MatchesConnected(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		want := Connected(n)
+		got := within(t, n, 1)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: within(n, 1) gave %d patterns, Connected gave %d", n, len(got), len(want))
+		}
+		for _, c := range want {
+			if _, ok := got[c.Key()]; !ok {
+				t.Fatalf("n=%d: within(n, 1) lacks %s", n, c.Key())
 			}
 		}
 	}
 }
 
+// TestConnectedWithin2Counts pins the range-2 space through the n = 7
+// space E16 sweeps, on the counting search and on the stream.
 func TestConnectedWithin2Counts(t *testing.T) {
-	// Small-size counts of the relaxed space (regression-pinned from the
-	// enumerator itself; the growth factor is ≈13× per node).
-	want := map[int]int{1: 1, 2: 9, 3: 99, 4: 1194}
-	for n, w := range want {
-		if got := len(ConnectedWithin(n, 2)); got != w {
-			t.Errorf("relaxed n=%d: %d patterns, want %d", n, got, w)
+	want := []int{1: 1, 2: 9, 3: 99, 4: 1194, 5: 15198, 6: 200376, 7: 2708148}
+	for n := 1; n < len(want); n++ {
+		if got := EachWithin(n, 2, nil); got != want[n] {
+			t.Errorf("within(%d, 2): counted %d patterns, want %d", n, got, want[n])
+		}
+		if n == 7 && testing.Short() {
+			continue
+		}
+		if got := EachWithin(n, 2, func(config.Config) bool { return true }); got != want[n] {
+			t.Errorf("within(%d, 2): streamed %d patterns, want %d", n, got, want[n])
+		}
+	}
+}
+
+// TestConnectedWithin3Counts pins the range-3 space through n = 5, the
+// largest space at MaxVisRange any experiment uses.
+func TestConnectedWithin3Counts(t *testing.T) {
+	for n, want := range map[int]int{3: 396, 4: 9558, 5: 243474} {
+		if got := EachWithin(n, 3, nil); got != want {
+			t.Errorf("within(%d, 3): counted %d patterns, want %d", n, got, want)
+		}
+		if got := EachWithin(n, 3, func(config.Config) bool { return true }); got != want {
+			t.Errorf("within(%d, 3): streamed %d patterns, want %d", n, got, want)
 		}
 	}
 }
 
 func TestConnectedWithin2Properties(t *testing.T) {
-	for _, c := range ConnectedWithin(4, 2) {
+	for _, c := range within(t, 4, 2) {
 		if !VisibilityConnected(c, 2) {
 			t.Fatalf("relaxed enumeration yielded vis-disconnected %v", c)
 		}
@@ -51,7 +92,7 @@ func TestConnectedWithin2StrictlyLarger(t *testing.T) {
 	for _, c := range Connected(3) {
 		adj[c.Key()] = true
 	}
-	relaxed := ConnectedWithin(3, 2)
+	relaxed := within(t, 3, 2)
 	super := 0
 	for _, c := range relaxed {
 		if !adj[c.Key()] {
@@ -108,36 +149,24 @@ func TestRandomWithinDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestEachWithinMatchesConnectedWithin checks that the streaming
-// enumeration yields exactly the materialized pattern set — same
-// count, same patterns, no duplicates — and that early stop works.
-func TestEachWithinMatchesConnectedWithin(t *testing.T) {
-	for _, tc := range []struct{ n, r int }{{3, 2}, {4, 2}, {5, 2}, {4, 3}} {
-		want := map[string]bool{}
-		for _, c := range ConnectedWithin(tc.n, tc.r) {
-			want[c.Key()] = true
+// TestEachWithinMatchesOracle is the differential test of the relaxed
+// spaces: the stream yields exactly the string-keyed reference's
+// pattern set — no duplicates, every pattern normalized — and the
+// counting search agrees; early stop works.
+func TestEachWithinMatchesOracle(t *testing.T) {
+	for _, tc := range []struct{ n, r int }{{1, 2}, {2, 2}, {3, 2}, {4, 2}, {5, 2}, {1, 3}, {2, 3}, {3, 3}, {4, 3}} {
+		want := oracle.Connected(tc.n, tc.r)
+		got := within(t, tc.n, tc.r)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d r=%d: streamed %d patterns, reference %d", tc.n, tc.r, len(got), len(want))
 		}
-		seen := map[string]bool{}
-		count := EachWithin(tc.n, tc.r, func(c config.Config) bool {
-			k := c.Key()
-			if seen[k] {
-				t.Fatalf("n=%d r=%d: duplicate pattern %s", tc.n, tc.r, k)
+		for _, c := range want {
+			if _, ok := got[c.Key()]; !ok {
+				t.Fatalf("n=%d r=%d: stream lacks %s", tc.n, tc.r, c.Key())
 			}
-			if !want[k] {
-				t.Fatalf("n=%d r=%d: unexpected pattern %s", tc.n, tc.r, k)
-			}
-			if !c.Equal(c.Normalize()) {
-				t.Fatalf("n=%d r=%d: non-normalized pattern %s", tc.n, tc.r, k)
-			}
-			seen[k] = true
-			return true
-		})
-		if count != len(want) || len(seen) != len(want) {
-			t.Fatalf("n=%d r=%d: streamed %d patterns (visited %d), want %d",
-				tc.n, tc.r, count, len(seen), len(want))
 		}
-		if got := EachWithin(tc.n, tc.r, nil); got != len(want) {
-			t.Fatalf("n=%d r=%d: counting pass gave %d, want %d", tc.n, tc.r, got, len(want))
+		if n := EachWithin(tc.n, tc.r, nil); n != len(want) {
+			t.Fatalf("n=%d r=%d: counting pass gave %d, want %d", tc.n, tc.r, n, len(want))
 		}
 	}
 	stopped := 0
@@ -151,8 +180,9 @@ func TestEachWithinMatchesConnectedWithin(t *testing.T) {
 }
 
 func BenchmarkEnumerateRelaxed5(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(ConnectedWithin(5, 2)) != 15198 {
+		if EachWithin(5, 2, func(config.Config) bool { return true }) != 15198 {
 			b.Fatal("bad count")
 		}
 	}

@@ -205,12 +205,13 @@ func DetectCollision(robots, targets []grid.Coord, moving []bool) *step.Collisio
 	return nil
 }
 
-// Connected returns every connected n-node pattern up to translation,
-// normalized and sorted by config.Compare: growth by one adjacent node
-// per generation, deduplicated by canonical string key. It is the
-// reference the key-native enumerator (and its "key/v1" order) must
-// reproduce.
-func Connected(n int) []config.Config {
+// Connected returns every n-node pattern up to translation whose
+// visibility graph at range visRange is connected, normalized and
+// sorted by config.Compare: growth by one node within visRange of the
+// pattern per generation, deduplicated by canonical string key. At
+// visRange = 1 these are the connected patterns. It is the reference
+// the enumeration engine (and its "key/v1" order) must reproduce.
+func Connected(n, visRange int) []config.Config {
 	if n <= 0 {
 		return nil
 	}
@@ -219,7 +220,7 @@ func Connected(n int) []config.Config {
 		next := make(map[string]config.Config, len(current)*4)
 		for _, c := range current {
 			for _, v := range c.Nodes() {
-				for _, nb := range v.Neighbors() {
+				for _, nb := range v.Disk(visRange)[1:] {
 					if c.Has(nb) {
 						continue
 					}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/enumerate"
 	"repro/internal/memo"
 )
 
@@ -140,7 +141,12 @@ func (s *shardSource) Each(visit func(int, config.Config) bool) {
 //	   now says so explicitly, so an artifact (checkpoint, pattern
 //	   index, shard stream) and a binary can prove they agree on what
 //	   "pattern i" means before any case merges.
-const SpecDescVersion = 2
+//	3: the relaxed spaces (VisRange > 1) stream in the enumeration
+//	   search's order instead of parent-major order, so "pattern i" of
+//	   a relaxed shard or checkpoint names a different pattern; the
+//	   connected space's "key/v1" order is unchanged. VisRange is
+//	   bounded by enumerate.MaxVisRange.
+const SpecDescVersion = 3
 
 // OrderKeyV1 names the canonical source order: ascending packed-key
 // order (config.Key128 numeric order), which coincides with
@@ -224,6 +230,9 @@ func (d SpecDesc) Validate() error {
 	}
 	if err := checkN(d.N); err != nil {
 		return err
+	}
+	if d.VisRange > enumerate.MaxVisRange {
+		return fmt.Errorf("sweep: connectivity range %d past the largest enumerable range %d", d.VisRange, enumerate.MaxVisRange)
 	}
 	if d.Order != OrderKeyV1 {
 		return fmt.Errorf("sweep: source order %q, this binary speaks %q", d.Order, OrderKeyV1)

@@ -115,12 +115,17 @@ func TestSpecDescDigestAndValidate(t *testing.T) {
 		{N: 6, Sched: "adv"},
 		{N: 6, Alg: "no-such-alg"},
 		{N: 6, Version: 99},
-		// A version-1 artifact predates the Order declaration; a v2
-		// binary must refuse it loudly rather than guess.
+		// A version-1 artifact predates the Order declaration, and a
+		// version-2 one indexes relaxed shards in the old order; this
+		// binary must refuse both loudly rather than guess.
 		{N: 6, Version: 1},
+		{N: 6, Version: 2, VisRange: 2},
 		{N: 6, Order: "legacy"},
-		// Past the exact key envelope: refused before anything enumerates.
+		// Past the exact key envelope, or past the largest enumerable
+		// range: refused before anything enumerates.
 		{N: enumerate.MaxKeyN + 1},
+		{N: 7, VisRange: enumerate.MaxVisRange + 1},
+		{N: 7, VisRange: 1000000},
 	} {
 		b := bad
 		b.Normalize()

@@ -127,14 +127,13 @@ func (s *connectedSource) EachRange(r Range, visit func(int, config.Config) bool
 
 func (s *connectedSource) EnumStats() (enumerate.Stats, bool) { return s.stats, s.built }
 
-// ConnectedWithin is the relaxed-connectivity space (experiment E9):
-// every n-robot pattern whose visibility graph at the given range is
-// connected. Unlike Connected it streams (enumerate.EachWithin): the
-// size-n generation is never materialized — only the size-(n-1)
-// parents plus a compact key set — because at range 2 the full n = 7
-// space is ≈2.6 M patterns and retaining them is exactly the memory
-// wall the streaming engine exists to remove. Count costs one extra
-// counting pass; patterns arrive in EachWithin's parent-major order.
+// ConnectedWithin is the relaxed-connectivity space (experiments E9
+// and E16): every n-robot pattern whose visibility graph at the given
+// range is connected. Unlike Connected it streams (enumerate.EachWithin):
+// the search hands each pattern over as it finds it and nothing is
+// retained, because at range 2 the full n = 7 space is ≈2.7 M patterns.
+// Count costs one extra counting pass; patterns arrive in the search's
+// order, which pattern indices of a relaxed shard refer to.
 func ConnectedWithin(n, visRange int) Source {
 	return &withinSource{n: n, visRange: visRange}
 }

@@ -14,17 +14,17 @@
 //     SSYNC, Seeds: SeedRange(1, 32)} — every pattern runs once per
 //     seeded activation schedule and the Report aggregates per-pattern
 //     robustness (gathered in k of m schedules),
-//   - the relaxed-connectivity sweep (E9) is Spec{Source:
-//     ConnectedWithin(7, 2)} over the ≈2.6 M-pattern range-2 space.
+//   - the relaxed-connectivity sweep (E9/E16) is Spec{Source:
+//     ConnectedWithin(7, 2)} over the ≈2.7 M-pattern range-2 space.
 //
 // Execution is streaming: Stream delivers every CaseResult to a visitor
 // in source order (independent of worker count) and retains none of
 // them unless Spec.KeepCases is set. Runs travel between the dispatcher,
 // the workers and the in-order collector in batches of 16, at most
 // 4 × Workers batches at a time, so beyond the Source's own storage
-// (ConnectedWithin streams its generation; Connected materializes its
-// enumeration) a sweep holds O(Workers) batches of configurations
-// regardless of sweep size. Adversary-mode sweeps run on the same
+// (ConnectedWithin streams from the search and holds nothing;
+// Connected materializes its enumeration) a sweep holds O(Workers)
+// batches of configurations regardless of sweep size. Adversary-mode sweeps run on the same
 // executor and aggregator. Failures carry a
 // Classify taxonomy (status × initial-diameter bucket) toward the §V
 // open problem of characterizing where the seven-robot construction

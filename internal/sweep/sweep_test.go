@@ -247,8 +247,19 @@ func TestSources(t *testing.T) {
 		t.Fatalf("Connected(5): count %d label %q", conn.Count(), conn.Label())
 	}
 	within := sweep.ConnectedWithin(4, 2)
-	if got, want := within.Count(), len(enumerate.ConnectedWithin(4, 2)); got != want {
-		t.Fatalf("ConnectedWithin(4,2): count %d, want %d", got, want)
+	if got, want := within.Count(), 1194; got != want || within.Label() != "within(4,2)" {
+		t.Fatalf("ConnectedWithin(4,2): count %d label %q, want %d", got, within.Label(), want)
+	}
+	streamed := 0
+	within.Each(func(i int, c config.Config) bool {
+		if i != streamed || c.Len() != 4 {
+			t.Fatalf("within Each yielded index %d after %d (len %d)", i, streamed-1, c.Len())
+		}
+		streamed++
+		return true
+	})
+	if streamed != 1194 {
+		t.Fatalf("within Each streamed %d patterns, want 1194", streamed)
 	}
 	prev := -1
 	conn.Each(func(i int, c config.Config) bool {
