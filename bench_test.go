@@ -468,8 +468,8 @@ func BenchmarkE9_RelaxedConnectivity(b *testing.B) {
 
 // BenchmarkE16_EachWithin7 measures the enumeration under E16's
 // relaxed sweep: the Redelmeier search over the radius-2 neighborhood
-// streams all 2708148 visibility-connected 7-robot patterns, each on a
-// fresh node slice, to a visitor that only counts them.
+// streams all 2708148 visibility-connected 7-robot patterns, on node
+// slices cut from shared chunks, to a visitor that only counts them.
 func BenchmarkE16_EachWithin7(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -168,8 +168,8 @@ Flags:
 		fmt.Fprintf(os.Stderr, "verify: -range %d is past the largest enumerable range %d\n", *visRange, enumerate.MaxVisRange)
 		os.Exit(2)
 	}
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "verify: -seeds must be at least 1")
+	if *seeds < 1 || *seeds > sweep.MaxSeeds {
+		fmt.Fprintf(os.Stderr, "verify: -seeds must be in [1, %d]\n", sweep.MaxSeeds)
 		os.Exit(2)
 	}
 	if *jsonOut && *stats {

@@ -64,7 +64,7 @@ func Register(fs *flag.FlagSet, which Set) *Flags {
 		f.Sched = fs.String("sched", "fsync", "scheduler: fsync, ssync, cent, or adv (exact adversarial decision, where the command supports it)")
 	}
 	if which&FlagSeeds != 0 {
-		f.Seeds = fs.Int("seeds", 1, "activation schedules per pattern (ssync robustness axis; seeds 1..M)")
+		f.Seeds = fs.Int("seeds", 1, fmt.Sprintf("activation schedules per pattern (ssync robustness axis; seeds 1..M, at most %d)", sweep.MaxSeeds))
 	}
 	if which&FlagRange != 0 {
 		f.VisRange = fs.Int("range", 1, fmt.Sprintf("connectivity relaxation: visibility-R-connected patterns (1 = adjacency, the paper's space; at most %d)", enumerate.MaxVisRange))

@@ -45,6 +45,13 @@ func (c Config) Nodes() []grid.Coord {
 	return out
 }
 
+// AppendNodes appends the robot nodes in sorted order to dst and returns
+// the extended slice. It is the allocation-free counterpart of Nodes for
+// callers that reuse a scratch buffer.
+func (c Config) AppendNodes(dst []grid.Coord) []grid.Coord {
+	return append(dst, c.nodes...)
+}
+
 // Has reports whether node v is a robot node.
 func (c Config) Has(v grid.Coord) bool {
 	_, ok := slices.BinarySearchFunc(c.nodes, v, grid.Coord.Compare)
@@ -103,6 +110,24 @@ func (c Config) Equal(o Config) bool {
 		}
 	}
 	return true
+}
+
+// Compare orders configurations by node count, then lexicographically by
+// the sorted node lists (Q before R). It is the deterministic order the
+// enumeration emits.
+func (c Config) Compare(o Config) int {
+	if len(c.nodes) != len(o.nodes) {
+		if len(c.nodes) < len(o.nodes) {
+			return -1
+		}
+		return 1
+	}
+	for i, v := range c.nodes {
+		if d := v.Compare(o.nodes[i]); d != 0 {
+			return d
+		}
+	}
+	return 0
 }
 
 // SamePattern reports whether the two configurations are equal up to

@@ -263,3 +263,23 @@ func TestStringRendersSorted(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+func randomPattern(rng *rand.Rand, n, spread int) Config {
+	nodes := make([]grid.Coord, n)
+	for i := range nodes {
+		nodes[i] = grid.Coord{Q: rng.Intn(2*spread) - spread, R: rng.Intn(2*spread) - spread}
+	}
+	return New(nodes...)
+}
+
+func TestCompareOrdersConfigs(t *testing.T) {
+	a := New(grid.Origin)
+	b := New(grid.Origin, grid.Coord{Q: 1, R: 0})
+	c := New(grid.Origin, grid.Coord{Q: 1, R: 1})
+	if a.Compare(b) >= 0 || b.Compare(c) >= 0 || c.Compare(b) <= 0 {
+		t.Fatal("Compare ordering broken")
+	}
+	if b.Compare(b) != 0 {
+		t.Fatal("Compare not reflexive")
+	}
+}

@@ -6,27 +6,15 @@ import (
 	"repro/internal/grid"
 )
 
-// This file is the inverse of the compact pattern keys: exact decoders
-// that rebuild the normalized pattern from a Key64/Key128 value. They
-// exist for the enumeration (internal/enumerate), which produces key
-// lists — a configuration is materialized from its key only at visit
-// time, so the decoders are its only path from key space back to
-// coordinate space. Both are
-// strict round-trip inverses: FromKey64(k) succeeds exactly on the
-// image of Key64Nodes and FromKey128 on the image of Key128Nodes, and
-// malformed keys (field out of range, nodes out of order) are rejected
-// rather than decoded into a different pattern.
-
-// FromKey64 decodes an exact Key64 value back into its normalized
-// configuration: FromKey64(Key64Nodes(c.nodes)) round-trips to
-// c.Normalize() for every exactly-encodable pattern. Values outside the
-// image of Key64Nodes return an error.
-func FromKey64(key uint64) (Config, error) {
-	// Key128 of a Key64-exact pattern is {Hi: 0, Lo: key64}, and no
-	// uint64 can hold an n ≥ 8 encoding (n = 8 needs 67 bits), so the
-	// 128-bit decoder restricted to a zero Hi is exactly the 64-bit one.
-	return FromKey128(Key128{Lo: key})
-}
+// This file is the inverse of the pattern key: an exact decoder that
+// rebuilds the normalized pattern from a Key128 value. It exists for
+// the enumeration (internal/enumerate), which produces key lists — a
+// configuration is materialized from its key only at visit time, so
+// the decoder is its only path from key space back to coordinate
+// space. It is a strict round-trip inverse: FromKey128 succeeds
+// exactly on the image of Key128Nodes, and malformed keys (field out
+// of range, nodes out of order) are rejected rather than decoded into
+// a different pattern.
 
 // FromKey128 decodes an exact Key128 value back into its normalized
 // configuration: FromKey128(Key128Nodes(c.nodes)) round-trips to
@@ -42,9 +30,9 @@ func FromKey128(key Key128) (Config, error) {
 
 // AppendKey128Nodes appends the decoded node list of an exact Key128
 // value to dst in sorted order and returns the extended slice — the
-// allocation-free counterpart of FromKey128 for hot paths that reuse a
-// scratch buffer (the enumeration growth loop decodes every parent of
-// every generation through it). The decoded list is the normalized
+// allocation-free counterpart of FromKey128 for callers that decode
+// many keys into one buffer (the connected enumeration materializes
+// its sorted key list through it). The decoded list is the normalized
 // pattern: anchor at the origin, ascending by Q then R.
 func AppendKey128Nodes(dst []grid.Coord, key Key128) ([]grid.Coord, error) {
 	if key == (Key128{}) {
@@ -77,7 +65,7 @@ func AppendKey128Nodes(dst []grid.Coord, key Key128) ([]grid.Coord, error) {
 		}
 		dst[base+i] = grid.Coord{Q: dq, R: dr}
 	}
-	// Key64Nodes/Key128Nodes encode nodes in strictly ascending order,
+	// Key128Nodes encodes nodes in strictly ascending order,
 	// so any other order marks a value outside the encoders' image.
 	for i := base + 1; i < base+n; i++ {
 		v, w := dst[i-1], dst[i]
@@ -98,10 +86,9 @@ func shr9n(key Key128, k int) Key128 {
 }
 
 // FromSortedNodes wraps an already-sorted, duplicate-free node list as
-// a Config without copying — the fast path of the connected
-// enumeration, which decodes a whole key list into one contiguous
-// backing array instead of one allocation per pattern, and of the
-// relaxed growth, which normalizes (and so copies) its scratch list.
+// a Config without copying — the fast path of the enumeration, which
+// backs many patterns with one node array instead of one allocation
+// per pattern, and of the run loop, which clones its own scratch list.
 // The caller warrants the Config invariant (ascending by Q then R, no
 // duplicates) and must not modify the slice while the Config is in
 // use; use New when the input is untrusted.

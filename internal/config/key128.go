@@ -2,17 +2,17 @@ package config
 
 import "repro/internal/grid"
 
-// This file holds the exact state key. Key128 is Key64's
-// anchor-relative fixed-width encoding accumulated across two words,
-// which covers every connected pattern through MaxKeyNodes robots —
-// the paper's n = 7 space and every n ≥ 8 extension sweep (§V open
-// problem 1) alike. It is the one key of every store that caches
-// facts about states (internal/memo's outcome and solver stores), of
-// the connected enumeration, and of the verdict table; WithPhase
-// folds a periodic scheduler's phase into it. States with no exact
-// key (more than MaxKeyNodes robots, or a spread past 15, which only
-// relaxed starts reach) are not memoized; PatternSet alone still
-// dedups them, by string.
+// This file holds the exact state key. Key128 is an anchor-relative
+// fixed-width encoding accumulated across two words, which covers
+// every connected pattern through MaxKeyNodes robots — the paper's
+// n = 7 space and every n ≥ 8 extension sweep (§V open problem 1)
+// alike. It is the one key of every store that caches facts about
+// states (internal/memo's outcome and solver stores), of the connected
+// enumeration, and of the verdict table; WithPhase folds a periodic
+// scheduler's phase into it. States with no exact key (more than
+// MaxKeyNodes robots, or a spread past 15, which only relaxed starts
+// reach) are not memoized. The run loop's cycle index (PatternSet)
+// needs no key: it compares anchor-relative nodes.
 
 // MaxKeyNodes is the largest node count the exact Key128 encoding
 // covers: n = MaxKeyNodes uses 4 + 9·(n−1) = 121 bits, and one more
@@ -50,8 +50,11 @@ func (k Key128) Compare(o Key128) int {
 // delta fields, so a plain multiplicative hash leaves bits clustered
 // and linear probing degrades. After fmix64 every output bit depends
 // on every input bit, so any slice of the hash indexes a table well.
-func (k Key128) Hash() uint64 {
-	h := k.Lo ^ k.Hi*0x9e3779b97f4a7c15
+func (k Key128) Hash() uint64 { return fmix64(k.Lo ^ k.Hi*0x9e3779b97f4a7c15) }
+
+// fmix64 is murmur3's 64-bit finalizer: every output bit depends on
+// every input bit.
+func fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -64,17 +67,15 @@ func (k Key128) Hash() uint64 {
 // equivalent to Key(): two configurations have equal exact keys iff
 // they are the same pattern. exact is false when the pattern does not
 // fit the 128-bit encoding (more than MaxKeyNodes nodes, or a node more
-// than 15 away from the anchor in Q or R). Every pattern exact under
-// Key64 is also exact here, with the Key64 value in Lo and a zero Hi.
+// than 15 away from the anchor in Q or R).
 func (c Config) Key128() (key Key128, exact bool) { return Key128Nodes(c.nodes) }
 
 // Key128Nodes is Key128 over a raw node list, for hot paths that
 // maintain the sorted slice themselves. nodes must be sorted by Q then
 // R with no duplicates — the invariant Config maintains.
 //
-// Encoding: exactly Key64's scheme on a 128-bit accumulator. With the
-// anchor a = nodes[0] (the lexicographic minimum, so every delta has
-// dq ≥ 0), the key is built as
+// Encoding: with the anchor a = nodes[0] (the lexicographic minimum,
+// so every delta has dq ≥ 0), the key is built as
 //
 //	key = n; for each of nodes[1:]: key = key<<9 | dq<<5 | (dr+15)
 //
@@ -120,9 +121,9 @@ const (
 // WithPhase scopes an exact key by an execution phase — the round
 // number modulo a deterministic scheduler's period, for clients whose
 // execution state is (pattern, phase) rather than the bare pattern:
-// the run loop's outcome memo and cycle set under a periodic
-// scheduler. Phase 0 returns the key unchanged, so phase-less clients
-// and phase-0 states share entries. ok is false for a phase outside
+// the run loop's outcome memo under a periodic scheduler. Phase 0
+// returns the key unchanged, so phase-less clients and phase-0 states
+// share entries. ok is false for a phase outside
 // [0, 2⁷−1]: that state has no exact key (no real scheduler period
 // comes close).
 func (k Key128) WithPhase(phase int) (key Key128, ok bool) {

@@ -7,9 +7,9 @@ import (
 	"repro/internal/grid"
 )
 
-// TestKey128AgreesWithKey is the contract, mirroring the Key64 test: on
-// exactly-encodable patterns, Key128 equality must coincide with
-// string-Key equality — no collisions, no splits.
+// TestKey128AgreesWithKey is the contract: on exactly-encodable
+// patterns, Key128 equality must coincide with string-Key equality — no
+// collisions, no splits.
 func TestKey128AgreesWithKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	byKey128 := map[Key128]string{}
@@ -45,25 +45,6 @@ func TestKey128TranslationInvariant(t *testing.T) {
 	}
 }
 
-// TestKey128ExtendsKey64 pins the encodings' relationship: every
-// Key64-exact pattern is Key128-exact with the identical value in the
-// low word.
-func TestKey128ExtendsKey64(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		c := randomPattern(rng, 1+rng.Intn(7), 5)
-		k64, ok64 := c.Key64()
-		k128, ok128 := c.Key128()
-		if !ok64 || !ok128 {
-			t.Fatalf("small pattern inexact: %s", c.Key())
-		}
-		if k128.Hi != 0 || k128.Lo != k64 {
-			t.Fatalf("Key128 %#x:%#x does not extend Key64 %#x for %s",
-				k128.Hi, k128.Lo, k64, c.Key())
-		}
-	}
-}
-
 func TestKey128FallsBackOutsideEnvelope(t *testing.T) {
 	if _, exact := Line(grid.Origin, grid.E, 8).Key128(); !exact {
 		t.Fatal("8-node pattern not exact under Key128")
@@ -92,38 +73,6 @@ func TestKey128HighWordUsed(t *testing.T) {
 	}
 	if k.Hi == 0 {
 		t.Fatalf("9-node line (8·9+4 = 76 bits) left the high word empty: %#x:%#x", k.Hi, k.Lo)
-	}
-}
-
-// TestPatternSetThreeTiers exercises all three PatternSet tiers (Key64,
-// Key128, string) plus Reset's pooling contract.
-func TestPatternSetThreeTiers(t *testing.T) {
-	var s PatternSet
-	small := Hexagon(grid.Origin)        // Key64 tier
-	mid := Line(grid.Origin, grid.E, 9)  // Key128 tier
-	big := Line(grid.Origin, grid.E, 20) // string tier
-	for i, c := range []Config{small, mid, big} {
-		if !s.Add(c) {
-			t.Fatalf("pattern %d reported as duplicate on first add", i)
-		}
-		if s.Add(c.Translate(grid.Coord{Q: 3, R: -2})) {
-			t.Fatalf("translated pattern %d not recognized as duplicate", i)
-		}
-	}
-	if s.Len() != 3 {
-		t.Fatalf("PatternSet length %d, want 3", s.Len())
-	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatalf("Reset left %d patterns", s.Len())
-	}
-	for i, c := range []Config{small, mid, big} {
-		if !s.Add(c) {
-			t.Fatalf("pattern %d still present after Reset", i)
-		}
-	}
-	if s.Len() != 3 {
-		t.Fatalf("PatternSet length %d after reuse, want 3", s.Len())
 	}
 }
 
@@ -188,30 +137,6 @@ func TestWithPhaseDisjointAcrossPatterns(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestPatternSetPhases: phased states are distinct from each other and
-// from the bare pattern in every tier, past WithPhase's range included.
-func TestPatternSetPhases(t *testing.T) {
-	for _, c := range []Config{
-		Hexagon(grid.Origin),
-		Line(grid.Origin, grid.E, 9),
-		Line(grid.Origin, grid.E, 20),
-	} {
-		var s PatternSet
-		phases := []int{0, 1, 2, 1<<phaseBits - 1, 1 << phaseBits, 1<<phaseBits + 1}
-		for _, ph := range phases {
-			if !s.AddPhase(c.Nodes(), ph) {
-				t.Fatalf("%d nodes, phase %d: reported as duplicate on first add", c.Len(), ph)
-			}
-			if s.AddPhase(c.Translate(grid.Coord{Q: 3, R: -2}).Nodes(), ph) {
-				t.Fatalf("%d nodes, phase %d: translate not recognized as duplicate", c.Len(), ph)
-			}
-		}
-		if s.Len() != len(phases) {
-			t.Fatalf("%d nodes: %d states, want %d", c.Len(), s.Len(), len(phases))
 		}
 	}
 }

@@ -179,6 +179,7 @@ type searcher struct {
 	untried [MaxKeyN][]int32
 	pattern []grid.Coord // the current pattern's nodes, sorted
 	leaf    []grid.Coord // a size-n pattern's nodes, sorted
+	chunk   []grid.Coord // the node array visited patterns share
 	dealt   int          // size-splitDepth patterns seen so far
 
 	sizes [MaxKeyN + 1]int64 // patterns visited per size
@@ -289,12 +290,20 @@ func (s *searcher) extend(size int, untried []int32) {
 }
 
 // visitLeaves hands each size-n pattern the untried cells complete to
-// s.visit, each on a fresh node slice the caller may keep, and counts
-// it; a false return stops the walk.
+// s.visit, each on a node slice of its own that the caller may keep,
+// and counts it; a false return stops the walk. The slices are cut,
+// capacity-capped, from node arrays of materializeChunk patterns each,
+// as materializeKeys does, so a retained Config keeps its whole chunk
+// alive.
 func (s *searcher) visitLeaves(untried []int32) {
 	for _, c := range untried {
 		s.sizes[s.n]++
-		nodes := mergeInsert(make([]grid.Coord, 0, s.n), s.pattern, s.cells[c].node)
+		if cap(s.chunk)-len(s.chunk) < s.n {
+			s.chunk = make([]grid.Coord, 0, materializeChunk*s.n)
+		}
+		lo := len(s.chunk)
+		s.chunk = mergeInsert(s.chunk, s.pattern, s.cells[c].node)
+		nodes := s.chunk[lo:len(s.chunk):len(s.chunk)]
 		if !s.visit(config.FromSortedNodes(nodes)) {
 			s.stopped = true
 			return

@@ -10,11 +10,13 @@ import (
 // adjacent in that graph when their distance is at most visRange — to
 // visit exactly once. It walks the Redelmeier search (keys.go) with the
 // radius-visRange disk as the neighborhood on one worker, so patterns
-// arrive normalized, in search order, each on a fresh node slice, and
-// nothing but the search's own state is held. visit returning false
-// stops the stream. It returns the number of patterns yielded; a nil
-// visit just counts, on GOMAXPROCS workers. EachWithin(n, 1, …) streams
-// the Connected(n) patterns. The paper's §V lists gathering from
+// arrive normalized, in search order, each on a node slice of its own
+// (cut from a node array shared by a chunk of patterns, so a retained
+// Config keeps its chunk alive), and nothing but the search's own state
+// and the current chunk is held. visit returning false stops the
+// stream. It returns the number of patterns yielded; a nil visit just
+// counts, on GOMAXPROCS workers. EachWithin(n, 1, …) streams the
+// Connected(n) patterns. The paper's §V lists gathering from
 // range-2-visibility-connected initial configurations as future work;
 // the relaxed sweeps (experiments E9 and E16) use this enumeration.
 func EachWithin(n, visRange int, visit func(config.Config) bool) int {

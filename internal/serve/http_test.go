@@ -177,7 +177,7 @@ func TestHTTPSweep(t *testing.T) {
 	}
 
 	// Malformed and invalid specs are client errors before any stream.
-	for _, body := range []string{"{", `{"n":5,"sched":"bogus"}`, `{"n":15}`, `{"n":7,"range":4}`, `{"n":7,"range":1000000}`} {
+	for _, body := range []string{"{", `{"n":5,"sched":"bogus"}`, `{"n":15}`, `{"n":7,"range":4}`, `{"n":7,"range":1000000}`, `{"n":7,"seeds":1025}`, `{"n":7,"seeds":1099511627776}`} {
 		resp, err := http.Post(srv.URL+"/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

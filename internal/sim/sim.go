@@ -154,9 +154,9 @@ type Options struct {
 	Goal func(config.Config) bool
 	// CycleSet, when non-nil, is the state set the run uses for cycle
 	// detection; the run resets it before use, so one set can be pooled
-	// across many runs (every sweep worker keeps one — the cycle-set
-	// maps were the largest remaining per-run allocation). It is
-	// ignored when DetectCycles is false.
+	// across many runs (every sweep worker keeps one, so a run
+	// allocates no slot table or arena of its own). It is ignored when
+	// DetectCycles is false.
 	CycleSet *config.PatternSet
 	// Outcomes, when non-nil, is the shared configuration→outcome
 	// store (internal/memo). It is engaged only with DetectCycles and
@@ -396,7 +396,7 @@ func run(alg core.Algorithm, initial config.Config, a Activation, opts Options) 
 				} else {
 					seen = &ownSet
 				}
-				seen.AddNodes(cur) // the initial state sits at phase 0
+				seen.AddPhase(cur, 0) // the initial state sits at phase 0
 			}
 		}
 		var active []int // nil: every robot

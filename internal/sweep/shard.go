@@ -175,7 +175,8 @@ type SpecDesc struct {
 	// so a shard split would not reproduce them.
 	Sched string `json:"sched,omitempty"`
 	// Seeds is the number of activation schedules per pattern (seeds
-	// 1..Seeds, the cmd/verify -seeds contract). 0 means 1.
+	// 1..Seeds, the cmd/verify -seeds contract). 0 means 1; Validate
+	// refuses more than MaxSeeds.
 	Seeds int `json:"seeds,omitempty"`
 	// VisRange is the connectivity relaxation (the cmd/verify -range
 	// contract): 0 or 1 selects the adjacency-connected space, R > 1
@@ -233,6 +234,9 @@ func (d SpecDesc) Validate() error {
 	}
 	if d.VisRange > enumerate.MaxVisRange {
 		return fmt.Errorf("sweep: connectivity range %d past the largest enumerable range %d", d.VisRange, enumerate.MaxVisRange)
+	}
+	if d.Seeds > MaxSeeds {
+		return fmt.Errorf("sweep: %d schedules per pattern past the largest seed count %d", d.Seeds, MaxSeeds)
 	}
 	if d.Order != OrderKeyV1 {
 		return fmt.Errorf("sweep: source order %q, this binary speaks %q", d.Order, OrderKeyV1)

@@ -111,22 +111,7 @@ func TestSpecDescDigestAndValidate(t *testing.T) {
 	if d.Digest() == (sweep.SpecDesc{N: 7}).Digest() {
 		t.Fatal("distinct descs share a digest")
 	}
-	for _, bad := range []sweep.SpecDesc{
-		{N: 6, Sched: "adv"},
-		{N: 6, Alg: "no-such-alg"},
-		{N: 6, Version: 99},
-		// A version-1 artifact predates the Order declaration, and a
-		// version-2 one indexes relaxed shards in the old order; this
-		// binary must refuse both loudly rather than guess.
-		{N: 6, Version: 1},
-		{N: 6, Version: 2, VisRange: 2},
-		{N: 6, Order: "legacy"},
-		// Past the exact key envelope, or past the largest enumerable
-		// range: refused before anything enumerates.
-		{N: enumerate.MaxKeyN + 1},
-		{N: 7, VisRange: enumerate.MaxVisRange + 1},
-		{N: 7, VisRange: 1000000},
-	} {
+	for _, bad := range badSpecDescs {
 		b := bad
 		b.Normalize()
 		if err := b.Validate(); err == nil {
@@ -145,4 +130,26 @@ func TestSpecDescDigestAndValidate(t *testing.T) {
 	if spec.Source.Count() == 0 || spec.Scheduler == nil || len(spec.Seeds) != 4 {
 		t.Fatal("SpecDesc.Spec did not materialize source/scheduler/seeds")
 	}
+}
+
+// badSpecDescs are descriptors Validate must refuse; FuzzSpecDesc
+// seeds from them too.
+var badSpecDescs = []sweep.SpecDesc{
+	{N: 6, Sched: "adv"},
+	{N: 6, Alg: "no-such-alg"},
+	{N: 6, Version: 99},
+	// A version-1 artifact predates the Order declaration, and a
+	// version-2 one indexes relaxed shards in the old order; this
+	// binary must refuse both loudly rather than guess.
+	{N: 6, Version: 1},
+	{N: 6, Version: 2, VisRange: 2},
+	{N: 6, Order: "legacy"},
+	// Past the exact key envelope, or past the largest enumerable
+	// range: refused before anything enumerates.
+	{N: enumerate.MaxKeyN + 1},
+	{N: 7, VisRange: enumerate.MaxVisRange + 1},
+	{N: 7, VisRange: 1000000},
+	// Past MaxSeeds: refused before the seed list is built.
+	{N: 7, Seeds: sweep.MaxSeeds + 1},
+	{N: 7, Seeds: 1 << 40},
 }

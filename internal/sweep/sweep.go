@@ -327,6 +327,12 @@ func SSYNC(seed int64) sched.Scheduler { return sched.NewRandomSubset(seed) }
 // adversary; the seed is ignored (the schedule is deterministic).
 func CENT(int64) sched.Scheduler { return sched.RoundRobin{} }
 
+// MaxSeeds is the most activation schedules per pattern a sweep
+// descriptor or cmd/verify accepts: 32× E12's 32, the largest any
+// experiment uses. SeedRange materializes the seed list, so an
+// unbounded count would be an unbounded allocation.
+const MaxSeeds = 1024
+
 // SeedRange returns the m seeds base, base+1, …, base+m-1 — the
 // conventional seed list of a robustness sweep.
 func SeedRange(base int64, m int) []int64 {

@@ -106,11 +106,12 @@ func (alternating) Select(n, round int) []int {
 // n = 6 spaces through sched.Run against the oracle's own activation
 // loop (oracle.RunActivated: map views, string-keyed (pattern, phase)
 // states) under the centralized round-robin scheduler, eight seeded
-// SSYNC schedules and an undeclared-period activation, bit-for-bit.
-// Those cover the idle-streak stall rule, the (pattern, round mod
-// period) cycle rule and the full-activation-only cycle rule; the
-// status tally checks that each run family reached the outcomes its
-// rule decides.
+// SSYNC schedules and an undeclared-period activation, bit-for-bit,
+// and the n = 7 space under round-robin (skipped under -short): its
+// 166 livelocks are E12's CENT lower bound. Those cover the idle-streak
+// stall rule, the (pattern, round mod period) cycle rule and the
+// full-activation-only cycle rule; the status tally checks that each
+// run family reached the outcomes its rule decides.
 func TestKernelParityPartialActivation(t *testing.T) {
 	opts := sim.Options{DetectCycles: true, StopOnDisconnect: true, MaxRounds: 5000}
 	alg := core.Gatherer{}
@@ -130,6 +131,15 @@ func TestKernelParityPartialActivation(t *testing.T) {
 				check("ssync", c, sched.NewRandomSubset(seed))
 			}
 			check("alternating", c, alternating{})
+		}
+	}
+	if !testing.Short() {
+		before := tally["round-robin"][sim.Livelock]
+		for _, c := range enumerate.Connected(7) {
+			check("round-robin", c, sched.RoundRobin{})
+		}
+		if got := tally["round-robin"][sim.Livelock] - before; got != 166 {
+			t.Errorf("round-robin n = 7: %d livelocks, want E12's 166", got)
 		}
 	}
 	// Round-robin never activates everyone, so its gathered runs were
